@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.fft as sfft
 
 from . import drive as drv
 from .errors import DomainError, GeometryError, ParameterError, ShapeError
@@ -146,14 +147,27 @@ class AbsorberSpec:
     strength_cm: float = 600.0
     enabled: bool = True
 
+    def __post_init__(self):
+        if not 0.0 <= self.fraction <= 0.5:
+            raise ParameterError("absorber fraction must lie in [0, 0.5]")
+
+    def ramps(self, n: int):
+        """Slices of the damped points on the left and right grid edges.
+
+        Empty when disabled or when the ramp is narrower than one point.
+        """
+        n_ab = int(n * self.fraction) if self.enabled else 0
+        return (slice(0, n_ab), slice(n - n_ab, n)) if n_ab else ()
+
     def damping(self, n: int):
         gamma = np.zeros(n)
-        if not self.enabled or self.fraction <= 0:
-            return gamma
-        n_ab = int(n * self.fraction)
-        ramp = np.sin(0.5 * np.pi * np.arange(1, n_ab + 1) / n_ab) ** 2
-        gamma[:n_ab] = self.strength_cm * ramp[::-1]
-        gamma[-n_ab:] = self.strength_cm * ramp
+        ramps = self.ramps(n)
+        if ramps:
+            left, right = ramps
+            n_ab = left.stop
+            ramp = np.sin(0.5 * np.pi * np.arange(1, n_ab + 1) / n_ab) ** 2
+            gamma[left] = self.strength_cm * ramp[::-1]
+            gamma[right] = self.strength_cm * ramp
         return gamma
 
 
@@ -250,9 +264,15 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     k_cm = grid.k_cm
     v_static = 2 * np.pi * (optics.n_s - index_profile) / optics.wavelength_cm
     kinetic = np.exp(-1j * optics.diffraction_cm * k_cm**2 * h)
-    gamma = absorber.damping(grid.n)
-    mask = np.exp(-gamma * h)
+    mask = np.exp(-absorber.damping(grid.n) * h)
+    # power removed per step is sum |env|^2 (1 - mask^2) over the ramps
+    edges = [(s, mask[s], 1.0 - mask[s] ** 2) for s in absorber.ramps(grid.n)]
     a_cm = optics.spacing_cm
+    z_start = field.z + np.arange(n_steps) * h
+    if gauge is BpmGauge.BENT_FRAME:
+        bends = drv.force(profile, z_start + h / 2) / a_cm
+    else:
+        phase_half = np.exp(-1j * v_static * (h / 2))
 
     env = field.envelope.astype(complex)
     p_launch = float(np.sum(np.abs(env) ** 2) * grid.dx_um)
@@ -262,28 +282,36 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     zs = [field.z]
     snaps = [env.copy()]
     absorbed_track = [0.0]
-    z = field.z
+    step_phase = None  # (drive value, phase array) of the previous step
     for i in range(n_steps):
+        # the phases are rebuilt only when the drive changes, so straight
+        # stretches of the axis reuse the previous step's arrays
         if gauge is BpmGauge.BENT_FRAME:
-            bend = drv.force(profile, z + h / 2) / a_cm
-            phase_half = np.exp(-1j * (v_static + bend * x_cm) * (h / 2))
-            env = phase_half * env
-            env = np.fft.ifft(kinetic * np.fft.fft(env))
-            env = phase_half * env
+            if step_phase is None or bends[i] != step_phase[0]:
+                step_phase = (bends[i], np.exp(
+                    -1j * (v_static + bends[i] * x_cm) * (h / 2)))
+            phase_half = step_phase[1]
+            kernel = kinetic
         else:
             # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over the step
-            int_phi = drv.phase_integral(profile, z, z + h)
-            int_phi2 = drv.phase_sq_integral(profile, z, z + h)
-            chi = optics.diffraction_cm * (
-                k_cm**2 * h - 2 * k_cm * int_phi / a_cm + int_phi2 / a_cm**2)
-            phase_half = np.exp(-1j * v_static * (h / 2))
-            env = phase_half * env
-            env = np.fft.ifft(np.exp(-1j * chi) * np.fft.fft(env))
-            env = phase_half * env
-        if absorber.enabled:
-            before = np.sum(np.abs(env) ** 2) * grid.dx_um
-            env *= mask
-            absorbed_total += float(before - np.sum(np.abs(env) ** 2) * grid.dx_um)
+            ints = (drv.phase_integral(profile, z_start[i], z_start[i] + h),
+                    drv.phase_sq_integral(profile, z_start[i], z_start[i] + h))
+            if step_phase is None or ints != step_phase[0]:
+                chi = optics.diffraction_cm * (
+                    k_cm**2 * h - 2 * k_cm * ints[0] / a_cm
+                    + ints[1] / a_cm**2)
+                step_phase = (ints, np.exp(-1j * chi))
+            kernel = step_phase[1]
+        env *= phase_half
+        spectrum = sfft.fft(env, overwrite_x=True)
+        spectrum *= kernel
+        env = sfft.ifft(spectrum, overwrite_x=True)
+        env *= phase_half
+        for edge, edge_mask, edge_loss in edges:
+            part = env[edge]
+            absorbed_total += float(
+                np.dot(part.real**2 + part.imag**2, edge_loss) * grid.dx_um)
+            part *= edge_mask
         z = field.z + (i + 1) * h
         intake = absorbed_total / p_launch
         if intake > intake_error:

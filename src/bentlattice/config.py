@@ -10,6 +10,7 @@ be dumped back to canonical text that reproduces the run bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -117,7 +118,7 @@ def _parse_value(kind, text, path):
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _finite(float(text))
         if kind == "bool":
             if text.lower() in ("1", "true", "yes", "on"):
                 return True
@@ -125,10 +126,17 @@ def _parse_value(kind, text, path):
                 return False
             raise ValueError(text)
         if kind == "floats":
-            return tuple(float(v) for v in text.split(",") if v.strip())
+            return tuple(_finite(float(v)) for v in text.split(",") if v.strip())
         return text
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {kind} value {text!r}", path) from exc
+        raise ConfigError(f"cannot parse {kind} value {text!r} ({exc})",
+                          path) from exc
+
+
+def _finite(value):
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
 
 
 def _format_value(kind, value):

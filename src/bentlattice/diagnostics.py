@@ -48,6 +48,19 @@ def _check_projection_setup(fieldgrid: FieldGrid, bands: BandStructure):
     return n_classes
 
 
+def _window_bins(grid: TransverseGrid, bands: BandStructure):
+    """FFT bins of every plane wave q + g of the comb, and which are resolved.
+
+    Returns (ks, bins, usable), each shaped (n_q, n_g); components at or
+    beyond the grid's Nyquist wavenumber are not usable.
+    """
+    dk = 2 * np.pi / (grid.width_um * CM_PER_UM)
+    nyquist = np.pi / (grid.dx_um * CM_PER_UM)
+    ks = bands.q_values[:, None] + bands.g_values[None, :]
+    bins = np.round(ks / dk).astype(int) % grid.n
+    return ks, bins, np.abs(ks) < 0.999 * nyquist
+
+
 def band_amplitudes(fieldgrid: FieldGrid, bands: BandStructure):
     """Complex overlap amplitudes with every Bloch mode of the window.
 
@@ -57,19 +70,14 @@ def band_amplitudes(fieldgrid: FieldGrid, bands: BandStructure):
     n_q = _check_projection_setup(fieldgrid, bands)
     grid = fieldgrid.grid
     window_cm = grid.width_um * CM_PER_UM
-    dk = 2 * np.pi / window_cm
     k_all = grid.k_cm
     # continuum Fourier transform with the grid's true origin
     ehat = (np.fft.fft(fieldgrid.envelope) * grid.dx_um * CM_PER_UM
             * np.exp(-1j * k_all * grid.x_min_um * CM_PER_UM))
-    nyquist = np.pi / (grid.dx_um * CM_PER_UM)
-    g = bands.g_values
+    _, bins, usable = _window_bins(grid, bands)
     amps = np.empty((n_q, bands.n_bands), dtype=complex)
-    for iq, q in enumerate(bands.q_values):
-        ks = q + g
-        bins = np.round(ks / dk).astype(int)
-        usable = np.abs(ks) < 0.999 * nyquist
-        spectrum = np.where(usable, ehat[bins % grid.n], 0.0)
+    for iq in range(n_q):
+        spectrum = np.where(usable[iq], ehat[bins[iq]], 0.0)
         amps[iq] = (bands.coeffs[iq].conj().T @ spectrum) / np.sqrt(window_cm)
     return amps
 
@@ -100,18 +108,14 @@ def project_onto_band(fieldgrid: FieldGrid, bands: BandStructure,
     amps = band_amplitudes(fieldgrid, bands)
     grid = fieldgrid.grid
     window_cm = grid.width_um * CM_PER_UM
-    x_cm = grid.x_cm
-    out = np.zeros(grid.n, dtype=complex)
-    g = bands.g_values
-    nyquist = np.pi / (grid.dx_um * CM_PER_UM)
-    for iq, q in enumerate(bands.q_values):
-        if abs(amps[iq, band]) < 1e-300:
-            continue
-        ks = q + g
-        usable = np.abs(ks) < 0.999 * nyquist
-        coeff = np.where(usable, bands.coeffs[iq, :, band], 0.0)
-        out += amps[iq, band] * (np.exp(1j * np.outer(x_cm, ks)) @ coeff)
-    out /= np.sqrt(window_cm)
+    # inverse of the scatter in band_amplitudes: place each mode's plane
+    # waves on their FFT bins (origin phase included) and transform once
+    ks, bins, usable = _window_bins(grid, bands)
+    terms = (amps[:, band, None] * bands.coeffs[:, :, band]
+             * np.exp(1j * ks * grid.x_min_um * CM_PER_UM))
+    spectrum = np.zeros(grid.n, dtype=complex)
+    np.add.at(spectrum, bins[usable], terms[usable])
+    out = np.fft.ifft(spectrum) * (grid.n / np.sqrt(window_cm))
     return FieldGrid(out, grid, fieldgrid.z).normalized()
 
 

@@ -167,17 +167,6 @@ def force(profile: DriveProfile, z) -> np.ndarray | float:
     return float(out) if np.isscalar(z) else out
 
 
-def axis_curvature_term(profile: DriveProfile, z):
-    """2 pi n_s x0''(z) / lambda, the continuum tilt coefficient in 1/cm^2.
-
-    Equals force(z) divided by the lattice spacing; multiplying by a
-    transverse coordinate x (in cm) gives the bending contribution to the
-    paraxial potential.
-    """
-    a_cm = profile.spacing_um * CM_PER_UM
-    return force(profile, z) / a_cm
-
-
 def axis_offset_um(profile: DriveProfile, z):
     """Axis displacement x0(z) in micrometres (x0(0) = -A for bent kinds)."""
     zz = _check_z(profile, z)

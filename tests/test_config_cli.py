@@ -208,6 +208,15 @@ class TestCli:
         assert cli_main(["run", "--config", str(bad),
                          "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("override", ["drive.phi0=inf",
+                                          "lattice.sigma_cm=nan",
+                                          "numerics.dz_cm=nan"])
+    def test_non_finite_override_exit_code(self, tmp_path, capsys, override):
+        code = cli_main(["run", "--preset", "fig3c", "--set", override,
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_numeric_error_exit_code(self, tmp_path):
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text(MINIMAL_TWO_LEVEL

@@ -78,6 +78,29 @@ class TestBandPopulations:
         assert pops[0] == pytest.approx(1.0, abs=1e-10)
         assert clean.power == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("band", [0, 1])
+    def test_projection_matches_dense_reconstruction(self, optics, band):
+        # 256 points leave the top plane waves of the comb beyond Nyquist,
+        # so the usable mask is exercised as well
+        small = TransverseGrid.for_cells(optics, n_cells=20, n_points=256)
+        bands = bands_for_grid(optics, small, n_plane_waves=41, n_bands=4)
+        raw = gaussian_tilted_input(40.0, bragg_angle(optics) / 2, optics,
+                                    small)
+        amps = band_amplitudes(raw, bands)
+        nyquist = np.pi / (small.dx_um * CM_PER_UM)
+        dense = np.zeros(small.n, dtype=complex)
+        for iq, q in enumerate(bands.q_values):
+            ks = q + bands.g_values
+            coeff = np.where(np.abs(ks) < 0.999 * nyquist,
+                             bands.coeffs[iq, :, band], 0.0)
+            dense += amps[iq, band] * (np.exp(1j * np.outer(small.x_cm, ks))
+                                       @ coeff)
+        dense = FieldGrid(dense, small, 0.0).normalized().envelope
+        assert np.any(np.abs(bands.q_values[:, None] + bands.g_values)
+                      >= 0.999 * nyquist)
+        projected = project_onto_band(raw, bands, band=band).envelope
+        assert np.max(np.abs(projected - dense)) < 1e-12
+
     def test_incompatible_grid_rejected(self, optics, grid, window_bands):
         other = TransverseGrid.for_cells(optics, n_cells=40, n_points=4096)
         field = FieldGrid(np.ones(other.n, complex), other, 0.0)

@@ -7,7 +7,8 @@ from bentlattice.dirac import (SpinorField, XiGrid, band_weights, branch_spinor,
                                dirac_evolve, free_dispersion,
                                gaussian_spinor_packet, lattice_from_spinor,
                                spinor_from_lattice)
-from bentlattice.diagnostics import packet_census
+from bentlattice.diagnostics import (lattice_transition_probability,
+                                     packet_census)
 from bentlattice.tight_binding import (bloch_mode_state, dispersion,
                                        evolve_gauged, gaussian_packet_state)
 from bentlattice.two_level import (MatrixKind, transition_probability,
@@ -197,8 +198,7 @@ class TestTierAgreementInValidityRegime:
         packet = gaussian_packet_state(q, 32.0, lattice)
         tb_traj = evolve_gauged(packet, lattice, drive, z_end=lam,
                                 dz=lam / 4000)
-        mapped = spinor_from_lattice(tb_traj.final, lattice)
-        wp_lattice = band_weights(mapped, lattice)[1]
+        wp_lattice = lattice_transition_probability(tb_traj.final, lattice)
 
         grid = XiGrid.centered(float(lattice.n_sites // 2), lattice.n_sites)
         k0 = zone_edge_k(q, lattice)
