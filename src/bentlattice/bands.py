@@ -16,9 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bpm import OpticsParams, sample_index_change
+from .drive import CM_PER_UM
 from .errors import AccuracyError, CalibrationError, ParameterError
-
-CM_PER_UM = 1.0e-4
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,12 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import drive as drv
+from .drive import CM_PER_UM
 from .errors import DomainError, GeometryError, ParameterError, ShapeError
+from .integrate import snapshot_stride, step_grid
 
-CM_PER_UM = 1.0e-4
+# fixed target step of the beam propagation, independent of the drive
+DEFAULT_DZ_CM = 5e-4
 
 
 class ChannelShape(str, Enum):
@@ -235,7 +238,7 @@ class BpmTrajectory:
 
 
 def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
-            z_end: float, dz_cm: float = 5e-4, snapshot_every: int = None,
+            z_end: float, dz_cm: float = DEFAULT_DZ_CM, snapshot_every: int = None,
             n_guides: int = 60, absorber: AbsorberSpec = AbsorberSpec(),
             gauge: BpmGauge = BpmGauge.BENT_FRAME,
             index_profile: np.ndarray = None,
@@ -254,11 +257,8 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
         index_profile = build_index_profile(optics, n_guides, grid)
     if index_profile.shape != (grid.n,):
         raise ShapeError("index profile length must match the grid")
-    span = z_end - field.z
-    n_steps = max(1, int(round(span / dz_cm)))
-    h = span / n_steps
-    if snapshot_every is None:
-        snapshot_every = n_steps
+    n_steps, h = step_grid(z_end - field.z, dz_cm)
+    snapshot_every = snapshot_stride(snapshot_every, n_steps)
 
     x_cm = grid.x_cm
     k_cm = grid.k_cm

@@ -239,10 +239,12 @@ def _validate_tier(resolved, tier):
                               f"sweep.axis={axis}")
         _validate_tier(resolved, base)
         return
-    if tier in ("two_level", "tight_binding", "dirac"):
+    if tier in ("two_level", "tight_binding", "dirac", "bpm"):
         _require(resolved, "numerics", "z_end_cm")
-    if tier == "bpm":
-        _require(resolved, "numerics", "z_end_cm")
+        for key in ("z_end_cm", "dz_cm", "snapshot_every"):
+            value = resolved["numerics"].get(key)
+            if value is not None and value <= 0:
+                raise ConfigError("must be positive", f"numerics.{key}")
     drive = resolved["drive"]
     if drive["kind"] in ("sinusoidal", "single_cycle"):
         has_amp = drive.get("amplitude_um") is not None

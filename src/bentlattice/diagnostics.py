@@ -15,12 +15,11 @@ import numpy as np
 from . import drive as drv
 from .bands import BandStructure, grid_q_values, plane_wave_bands
 from .bpm import FieldGrid, OpticsParams, TransverseGrid
+from .drive import CM_PER_UM
 from .errors import ParameterError, ShapeError
 from .tight_binding import (Branch, Gauge, LatticeTrajectory, ModeVector,
                             SuperlatticeParams, bloch_eigenvector,
                             gauge_transform)
-
-CM_PER_UM = 1.0e-4
 
 
 # ---------------------------------------------------------------------------

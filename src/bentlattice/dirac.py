@@ -19,6 +19,7 @@ import numpy as np
 
 from . import drive as drv
 from .errors import DomainError, ParameterError, ShapeError
+from .integrate import default_dz, snapshot_stride, step_grid
 from .tight_binding import Branch, Gauge, ModeVector, SuperlatticeParams
 
 
@@ -176,16 +177,9 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
     wrap-around contamination).
     """
     if dz is None:
-        dz = (profile.period_cm / 2000.0
-              if profile.kind in (drv.DriveKind.SINUSOIDAL,
-                                  drv.DriveKind.SINGLE_CYCLE) else 5.0e-4)
-    span = z_end - field.z
-    if span <= 0:
-        raise ParameterError("z_end must exceed the field's current z")
-    n_steps = max(1, int(round(span / dz)))
-    h = span / n_steps
-    if snapshot_every is None:
-        snapshot_every = n_steps
+        dz = default_dz(profile)
+    n_steps, h = step_grid(z_end - field.z, dz)
+    snapshot_every = snapshot_stride(snapshot_every, n_steps)
     k = field.grid.k
     sigma, delta = params.sigma_cm, params.delta_cm
     em = np.exp(-1j * delta * h / 2.0)

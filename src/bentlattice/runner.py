@@ -25,18 +25,39 @@ from . import drive as drv
 from . import tight_binding as tb
 from . import two_level as tl
 from .config import SCHEMA, Scenario, canonical_dump, resolve
+from .drive import CM_PER_UM
 from .errors import AccuracyError, BentLatticeError, ConfigError
 from .fieldio import write_csv, write_field_dump
-
-CM_PER_UM = 1.0e-4
+from .integrate import default_dz, step_grid
 
 
 def _q_from_scenario(scn: Scenario, spacing_cm):
     return scn.section("input")["qa_over_pi"] * np.pi / spacing_cm
 
 
-def _self_check(summary, label, coarse, fine, tol):
-    delta = float(np.max(np.abs(np.asarray(coarse) - np.asarray(fine))))
+# ---------------------------------------------------------------------------
+# tier runners: each returns (files, summary); files maps name -> writer
+# ---------------------------------------------------------------------------
+
+def _step_plan(num, tier_dz, n_snapshots):
+    """Configured ``(dz, snapshot_every)``, else the tier's default step and
+    a stride keeping about ``n_snapshots`` snapshots."""
+    dz = num.get("dz_cm")
+    if dz is None:
+        dz = tier_dz
+    snap = num.get("snapshot_every")
+    if snap is None:
+        snap = max(1, step_grid(num["z_end_cm"], dz)[0] // n_snapshots)
+    return dz, snap
+
+
+def _self_check(num, summary, label, value, rerun, dz, tol):
+    """With ``numerics.self_check``, record how far the headline ``value``
+    moves when ``rerun(step)`` repeats the run at dz/2."""
+    if not num.get("self_check"):
+        return
+    fine = rerun(dz / 2)
+    delta = float(np.max(np.abs(np.asarray(value) - np.asarray(fine))))
     summary[f"self_check_{label}"] = delta
     if delta > tol:
         raise AccuracyError(
@@ -44,27 +65,20 @@ def _self_check(summary, label, coarse, fine, tol):
             f"(> {tol:.0e}); decrease dz")
 
 
-# ---------------------------------------------------------------------------
-# tier runners: each returns (files, summary); files maps name -> writer
-# ---------------------------------------------------------------------------
-
 def _run_two_level(scn: Scenario, out_dir):
     params = scn.lattice_params()
     profile = scn.drive_profile()
     q = _q_from_scenario(scn, params.spacing_cm)
     num = scn.section("numerics")
-    z_end = num["z_end_cm"]
-    dz = num.get("dz_cm")
-    branch = scn.branch()
-    state = (tl.ground_state(q, params) if branch is tb.Branch.MINUS
+    state = (tl.ground_state(q, params) if scn.branch() is tb.Branch.MINUS
              else tl.TwoLevelState(0j, 1.0 + 0j, 0.0, q))
-    kind = scn.matrix_kind()
-    snap = num.get("snapshot_every")
-    if snap is None:
-        n_steps = max(1, int(round(z_end / (dz or profile.period_cm / 2000))))
-        snap = max(1, n_steps // 4000)
-    traj = tl.evolve(state, profile, params, kind, z_end=z_end, dz=dz,
-                     snapshot_every=snap)
+
+    def run(dz, snap=None):
+        return tl.evolve(state, profile, params, scn.matrix_kind(),
+                         z_end=num["z_end_cm"], dz=dz, snapshot_every=snap)
+
+    dz, snap = _step_plan(num, default_dz(profile), 4000)
+    traj = run(dz, snap)
     p = traj.transition_probability
     summary = {
         "P_final": float(p[-1]),
@@ -73,12 +87,8 @@ def _run_two_level(scn: Scenario, out_dir):
         "norm_error": float(np.max(np.abs(traj.norm - 1.0))),
         "phi0": drv.phase_amplitude(profile),
     }
-    if num.get("self_check"):
-        half = tl.evolve(state, profile, params, kind, z_end=z_end,
-                         dz=(dz or profile.period_cm / 2000) / 2,
-                         snapshot_every=10**9)
-        _self_check(summary, "P_final", p[-1],
-                    half.transition_probability[-1], 1e-6)
+    _self_check(num, summary, "P_final", p[-1],
+                lambda h: run(h).transition_probability[-1], dz, 1e-6)
     files = {}
     if out_dir is not None:
         name = f"{scn.prefix}_trajectory.csv"
@@ -107,15 +117,14 @@ def _run_tight_binding(scn: Scenario, out_dir):
     gauge = scn.gauge()
     boundary = scn.boundary()
     state = _lattice_input_state(scn, params, gauge)
-    z_end = num["z_end_cm"]
-    dz = num.get("dz_cm")
-    snap = num.get("snapshot_every")
-    if snap is None:
-        n_steps = max(1, int(round(z_end / (dz or profile.period_cm / 2000))))
-        snap = max(1, n_steps // 200)
     evolver = tb.evolve_bare if gauge is tb.Gauge.BARE else tb.evolve_gauged
-    traj = evolver(state, params, profile, z_end, dz=dz, snapshot_every=snap,
-                   boundary=boundary)
+
+    def run(dz, snap=None):
+        return evolver(state, params, profile, num["z_end_cm"], dz=dz,
+                       snapshot_every=snap, boundary=boundary)
+
+    dz, snap = _step_plan(num, default_dz(profile), 200)
+    traj = run(dz, snap)
     p_of_z = diag.lattice_transition_probability(traj, params, profile)
     power = traj.power()
     summary = {
@@ -125,13 +134,9 @@ def _run_tight_binding(scn: Scenario, out_dir):
     }
     if boundary is tb.Boundary.HARD_WALL:
         summary["edge_power_fraction"] = traj.edge_power_fraction()
-    if num.get("self_check"):
-        half = evolver(state, params, profile, z_end,
-                       dz=(dz or profile.period_cm / 2000) / 2,
-                       snapshot_every=10**9, boundary=boundary)
-        _self_check(summary, "P_final", p_of_z[-1],
-                    diag.lattice_transition_probability(half.final, params,
-                                                        profile), 1e-6)
+    _self_check(num, summary, "P_final", p_of_z[-1],
+                lambda h: diag.lattice_transition_probability(
+                    run(h).final, params, profile), dz, 1e-6)
     files = {}
     if out_dir is not None:
         sites = params.sites
@@ -159,11 +164,13 @@ def _run_dirac(scn: Scenario, out_dir):
     k0 = tl.zone_edge_k(q, params)
     field = dirac_mod.gaussian_spinor_packet(
         grid, k0, inp["width_xi"], params, scn.branch(), inp["center_xi"])
-    z_end = num["z_end_cm"]
-    dz = num.get("dz_cm")
-    snap = num.get("snapshot_every")
-    traj = dirac_mod.dirac_evolve(field, profile, params, z_end, dz=dz,
-                                  snapshot_every=snap)
+
+    def run(dz, snap=None):
+        return dirac_mod.dirac_evolve(field, profile, params, num["z_end_cm"],
+                                      dz=dz, snapshot_every=snap)
+
+    dz, snap = _step_plan(num, default_dz(profile), 1)
+    traj = run(dz, snap)
     weights = [dirac_mod.band_weights(
         dirac_mod.SpinorField(traj.psi1[i], traj.psi2[i], grid, traj.z[i]),
         params) for i in range(len(traj.z))]
@@ -174,12 +181,9 @@ def _run_dirac(scn: Scenario, out_dir):
         "k0": float(k0),
         "phi0": drv.phase_amplitude(profile),
     }
-    if num.get("self_check"):
-        half = dirac_mod.dirac_evolve(field, profile, params, z_end,
-                                      dz=(dz or profile.period_cm / 2000) / 2)
-        _self_check(summary, "plus_weight",
-                    weights[-1][1],
-                    dirac_mod.band_weights(half.final, params)[1], 1e-4)
+    _self_check(num, summary, "plus_weight", weights[-1][1],
+                lambda h: dirac_mod.band_weights(run(h).final, params)[1],
+                dz, 1e-4)
     files = {}
     if out_dir is not None:
         rows = [(z, w[0], w[1], nn) for z, w, nn in zip(traj.z, weights, norms)]
@@ -216,15 +220,15 @@ def _run_bpm(scn: Scenario, out_dir):
     absorber = bpm_mod.AbsorberSpec(num["absorber_fraction"],
                                     num["absorber_strength_cm"],
                                     num["absorber_enabled"])
-    z_end = num["z_end_cm"]
-    dz = num.get("dz_cm") or 5e-4
-    snap = num.get("snapshot_every")
-    if snap is None:
-        snap = max(1, int(round(z_end / dz)) // 10)
-    gauge = bpm_mod.BpmGauge(num["bpm_gauge"])
-    traj = bpm_mod.bpm_run(field, optics, profile, z_end, dz_cm=dz,
-                           snapshot_every=snap, n_guides=num["n_guides"],
-                           absorber=absorber, gauge=gauge)
+
+    def run(dz, snap=None):
+        return bpm_mod.bpm_run(field, optics, profile, num["z_end_cm"],
+                               dz_cm=dz, snapshot_every=snap,
+                               n_guides=num["n_guides"], absorber=absorber,
+                               gauge=bpm_mod.BpmGauge(num["bpm_gauge"]))
+
+    dz, snap = _step_plan(num, bpm_mod.DEFAULT_DZ_CM, 10)
+    traj = run(dz, snap)
     merge_um = num.get("census_merge_um") or 2 * optics.spacing_um
     obs = diag.observables_series(traj, band_structure,
                                   threshold=num["census_threshold"],
@@ -240,12 +244,9 @@ def _run_bpm(scn: Scenario, out_dir):
         "packet_velocities": [p.velocity for p in obs[-1].packets],
         "phi0": drv.phase_amplitude(profile),
     }
-    if num.get("self_check"):
-        half = bpm_mod.bpm_run(field, optics, profile, z_end, dz_cm=dz / 2,
-                               snapshot_every=10**9, n_guides=num["n_guides"],
-                               absorber=absorber, gauge=gauge)
-        _self_check(summary, "band_populations", final_pops,
-                    diag.band_populations(half.final, band_structure, 2), 1e-4)
+    _self_check(num, summary, "band_populations", final_pops,
+                lambda h: diag.band_populations(run(h).final, band_structure,
+                                                2), dz, 1e-4)
     files = {}
     if out_dir is not None:
         rows = []

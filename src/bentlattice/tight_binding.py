@@ -16,10 +16,9 @@ from enum import Enum
 import numpy as np
 
 from . import drive as drv
+from .drive import CM_PER_UM
 from .errors import AccuracyError, ParameterError
-from .integrate import rk4_evolve
-
-CM_PER_UM = 1.0e-4
+from .integrate import default_dz, rk4_evolve
 
 
 class Gauge(str, Enum):
@@ -203,16 +202,10 @@ def gauge_transform(state: ModeVector, profile: drv.DriveProfile,
     return ModeVector(state.amplitudes * factor, to_gauge, state.z)
 
 
-def _default_dz(profile: drv.DriveProfile) -> float:
-    if profile.kind in (drv.DriveKind.SINUSOIDAL, drv.DriveKind.SINGLE_CYCLE):
-        return profile.period_cm / 2000.0
-    return 5.0e-4
-
-
 def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary,
             rhs_factory, power_tol):
     if dz is None:
-        dz = _default_dz(profile)
+        dz = default_dz(profile)
     boundary = Boundary(boundary)
     rhs = rhs_factory(params, profile, boundary)
     p0 = state.power

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import drive as drv
 from .errors import AccuracyError, DegenerateGapError, ParameterError
+from .integrate import default_dz, snapshot_stride, step_grid
 from .tight_binding import SuperlatticeParams
 
 
@@ -91,8 +92,8 @@ def free_energy(k, params: SuperlatticeParams) -> float:
     return float(np.sqrt(params.delta_cm**2 + (params.sigma_cm * float(k)) ** 2))
 
 
-def coupling_matrix_full(q, phi, params: SuperlatticeParams) -> CouplingMatrix:
-    """Exact lattice coupling at wavenumber q and instantaneous phase phi."""
+def _full_terms(q, phi, params: SuperlatticeParams):
+    """(Z11, Z12) of the exact lattice coupling; phi may be an array."""
     qa = float(q) * params.spacing_cm
     sigma, delta = params.sigma_cm, params.delta_cm
     w = np.sqrt(delta**2 + 4 * sigma**2 * np.cos(qa) ** 2)
@@ -100,18 +101,26 @@ def coupling_matrix_full(q, phi, params: SuperlatticeParams) -> CouplingMatrix:
         raise DegenerateGapError("omega_plus vanished: gap closed at this q")
     z11 = (delta**2 + 4 * sigma**2 * np.cos(qa) * np.cos(qa - phi)) / w
     z12 = 2 * sigma * delta * (np.cos(qa) - np.cos(qa - phi)) / w
-    return CouplingMatrix(float(z11), float(z12))
+    return z11, z12
 
 
-def coupling_matrix_reduced(k, phi, params: SuperlatticeParams) -> CouplingMatrix:
-    """Small-(k, phi) limit of the full coupling near the zone edge."""
+def _reduced_terms(k, phi, params: SuperlatticeParams):
+    """(Z11, Z12) of the zone-edge reduction; phi may be an array."""
     sigma, delta = params.sigma_cm, params.delta_cm
     eps = free_energy(k, params)
     if eps == 0.0:
         raise DegenerateGapError("eps(k) vanished: massless state at k = 0")
-    z11 = eps - 2 * sigma**2 * k * phi / eps
-    z12 = -2 * sigma * delta * phi / eps
-    return CouplingMatrix(float(z11), float(z12))
+    return eps - 2 * sigma**2 * k * phi / eps, -2 * sigma * delta * phi / eps
+
+
+def coupling_matrix_full(q, phi, params: SuperlatticeParams) -> CouplingMatrix:
+    """Exact lattice coupling at wavenumber q and instantaneous phase phi."""
+    return CouplingMatrix(*map(float, _full_terms(q, phi, params)))
+
+
+def coupling_matrix_reduced(k, phi, params: SuperlatticeParams) -> CouplingMatrix:
+    """Small-(k, phi) limit of the full coupling near the zone edge."""
+    return CouplingMatrix(*map(float, _reduced_terms(k, phi, params)))
 
 
 @dataclass(frozen=True)
@@ -174,15 +183,20 @@ def physical_energy(p, constants: PhysicalConstants) -> float:
     return float(np.sqrt((p * k.c) ** 2 + (k.mass * k.c**2) ** 2) / k.hbar)
 
 
-def coupling_matrix_dirac(p, a_x, constants: PhysicalConstants) -> CouplingMatrix:
-    """Occupation-amplitude coupling of the driven massive particle at momentum p."""
+def _dirac_terms(p, a_x, constants: PhysicalConstants):
+    """(Z11, Z12) of the driven massive particle; a_x may be an array."""
     k = constants
     eps = physical_energy(p, constants)
     if eps == 0.0:
         raise DegenerateGapError("eps(p) vanished: massless state at p = 0")
     z11 = eps - p * k.c * k.charge * a_x / (k.hbar**2 * eps)
     z12 = -k.mass * k.c**2 * k.charge * a_x / (k.hbar**2 * eps)
-    return CouplingMatrix(float(z11), float(z12))
+    return z11, z12
+
+
+def coupling_matrix_dirac(p, a_x, constants: PhysicalConstants) -> CouplingMatrix:
+    """Occupation-amplitude coupling of the driven massive particle at momentum p."""
+    return CouplingMatrix(*map(float, _dirac_terms(p, a_x, constants)))
 
 
 @dataclass
@@ -209,31 +223,16 @@ class TwoLevelTrajectory:
 def _matrix_coefficients(kind, q, params, phis):
     """Vectorized (z11, z12) arrays for precomputed phase samples."""
     kind = MatrixKind(kind)
-    sigma, delta = params.sigma_cm, params.delta_cm
     if kind is MatrixKind.FULL:
-        qa = float(q) * params.spacing_cm
-        w = np.sqrt(delta**2 + 4 * sigma**2 * np.cos(qa) ** 2)
-        if w == 0.0:
-            raise DegenerateGapError("gap closed at this q")
-        z11 = (delta**2 + 4 * sigma**2 * np.cos(qa) * np.cos(qa - phis)) / w
-        z12 = 2 * sigma * delta * (np.cos(qa) - np.cos(qa - phis)) / w
-        return z11, z12
+        return _full_terms(q, phis, params)
     k = zone_edge_k(q, params)
     if kind is MatrixKind.REDUCED:
-        eps = free_energy(k, params)
-        if eps == 0.0:
-            raise DegenerateGapError("eps(k) vanished at k = 0")
-        return eps - 2 * sigma**2 * k * phis / eps, -2 * sigma * delta * phis / eps
-    # DIRAC: identical algebra through the units map, kept separate so the
+        return _reduced_terms(k, phis, params)
+    # DIRAC: the reduced algebra through the units map, so the
     # physical-units formulas are exercised end to end
     umap = DiracUnitsMap.identity_embedding(params)
-    p = umap.momentum_from_k(k)
-    a_x = umap.vector_potential_from_phi(phis)
-    kc = umap.constants
-    eps = physical_energy(p, kc)
-    z11 = eps - p * kc.c * kc.charge * a_x / (kc.hbar**2 * eps)
-    z12 = -kc.mass * kc.c**2 * kc.charge * a_x / (kc.hbar**2 * eps)
-    return z11, z12
+    return _dirac_terms(umap.momentum_from_k(k),
+                        umap.vector_potential_from_phi(phis), umap.constants)
 
 
 def evolve(state: TwoLevelState, profile: drv.DriveProfile,
@@ -250,12 +249,9 @@ def evolve(state: TwoLevelState, profile: drv.DriveProfile,
     if abs(state.norm - 1.0) > 1e-9:
         raise ParameterError("initial occupations must satisfy |r-|^2 + |r+|^2 = 1")
     if dz is None:
-        dz = (profile.period_cm / 2000.0
-              if profile.kind in (drv.DriveKind.SINUSOIDAL,
-                                  drv.DriveKind.SINGLE_CYCLE) else 5.0e-4)
-    span = z_end - state.z
-    n = max(1, int(round(span / dz)))
-    h = span / n
+        dz = default_dz(profile)
+    n, h = step_grid(z_end - state.z, dz)
+    snapshot_every = snapshot_stride(snapshot_every, n)
     zs_half = state.z + np.arange(2 * n + 1) * (h / 2)
     phis = drv.phase(profile, zs_half)
     z11, z12 = _matrix_coefficients(matrix_kind, state.q, params, phis)
@@ -357,22 +353,12 @@ def quasi_energy_for_drive(q, profile: drv.DriveProfile,
     return float(vals.mean())
 
 
-def resonance_period(n: int, q, phi0, params: SuperlatticeParams,
-                     max_iter: int = 100, rel_tol: float = 1e-10) -> float:
+def resonance_period(n: int, q, phi0, params: SuperlatticeParams) -> float:
     """Drive period satisfying the n-quantum resonance n 2 pi / Lambda = 2 E(q).
 
     For a sinusoidal drive at fixed phi0 the quasi-energy does not depend on
-    the period and the solve is direct; the damped fixed-point loop is kept
-    for drive shapes whose phase depends on the period, and converges in one
-    step in the sinusoidal case.
+    the period, so the solve is direct.
     """
     if n < 1:
         raise ParameterError("photon order n must be >= 1")
-    lam = n * np.pi / quasi_energy(q, phi0, params)
-    for _ in range(max_iter):
-        target = n * np.pi / quasi_energy(q, phi0, params)
-        new = 0.5 * (lam + target)
-        if abs(new - lam) <= rel_tol * abs(new):
-            return float(new)
-        lam = new
-    raise AccuracyError("resonance period iteration did not converge")
+    return float(n * np.pi / quasi_energy(q, phi0, params))

@@ -217,6 +217,24 @@ class TestCli:
         assert code == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", ["numerics.z_end_cm=-1",
+                                          "numerics.dz_cm=0",
+                                          "numerics.dz_cm=-0.001",
+                                          "numerics.snapshot_every=0"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "fig2a"],
+        ["run", "--preset", "fig2a", "--set", "scenario.tier=tight_binding"],
+        ["run", "--preset", "fig2a", "--set", "scenario.tier=dirac"],
+        ["run", "--preset", "fig5b"],
+        ["sweep", "--preset", "fig3"],
+    ], ids=["two_level", "tight_binding", "dirac", "bpm", "fig3_sweep"])
+    def test_bad_step_override_exit_code(self, tmp_path, capsys, argv,
+                                         override):
+        code = cli_main([*argv, "--set", override, "--out", str(tmp_path)])
+        assert code == 2
+        key = override.split("=", 1)[0]
+        assert f"config error: {key}" in capsys.readouterr().err
+
     def test_numeric_error_exit_code(self, tmp_path):
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text(MINIMAL_TWO_LEVEL
@@ -341,3 +359,16 @@ class TestOtherTierRunners:
                                  overrides=["numerics.self_check=1"])
         manifest = run_scenario(scn, None)
         assert manifest["summary"]["self_check_P_final"] < 1e-6
+
+    def test_dirac_self_check(self):
+        scn = scenario_from_text(DIRAC_CONFIG,
+                                 overrides=["numerics.self_check=1"])
+        manifest = run_scenario(scn, None)
+        assert 0.0 < manifest["summary"]["self_check_plus_weight"] < 1e-4
+
+    def test_bpm_self_check(self):
+        scn = scenario_from_text(preset_text("fig5b"), overrides=[
+            "numerics.self_check=1", "numerics.z_end_cm=0.3",
+            "numerics.grid_points=4096"])
+        manifest = run_scenario(scn, None)
+        assert 0.0 < manifest["summary"]["self_check_band_populations"] < 1e-4

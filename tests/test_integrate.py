@@ -1,0 +1,96 @@
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bentlattice
+from bentlattice import DriveProfile, ParameterError
+from bentlattice.bpm import (OpticsParams, TransverseGrid, bpm_run,
+                             gaussian_tilted_input)
+from bentlattice.dirac import XiGrid, dirac_evolve, gaussian_spinor_packet
+from bentlattice.integrate import default_dz, snapshot_stride, step_grid
+from bentlattice.tight_binding import (Branch, SuperlatticeParams,
+                                       bloch_mode_state, evolve_gauged)
+from bentlattice.two_level import evolve, ground_state
+
+SRC = Path(bentlattice.__file__).parent
+
+
+class TestStepRule:
+    def test_default_dz(self):
+        bent = DriveProfile.from_phase_amplitude("single_cycle", 6.0, 0.6676)
+        assert default_dz(bent) == 0.6676 / 2000.0
+        assert default_dz(DriveProfile.straight()) == 5e-4
+
+    def test_step_grid_hits_the_endpoint(self):
+        n, h = step_grid(1.0, 0.3)
+        assert n == 3 and h == 1.0 / 3
+        assert step_grid(0.1, 0.3) == (1, 0.1)
+
+    @pytest.mark.parametrize("span, dz", [
+        (0.0, 0.1), (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1),
+        (1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf),
+        (1.0, 1e-320)])
+    def test_step_grid_rejects(self, span, dz):
+        with pytest.raises(ParameterError):
+            step_grid(span, dz)
+
+    def test_snapshot_stride(self):
+        assert snapshot_stride(None, 40) == 40
+        assert snapshot_stride(7, 40) == 7
+        with pytest.raises(ParameterError):
+            snapshot_stride(0, 40)
+
+
+def _two_level(drive, **kw):
+    params = SuperlatticeParams(2.0, 1.817)
+    state = ground_state(params.q_from_qa(np.pi / 4), params)
+    return evolve(state, drive, params, z_end=0.1, **kw)
+
+
+def _tight_binding(drive, **kw):
+    params = SuperlatticeParams(2.0, 1.817, n_sites=8)
+    state = bloch_mode_state(params.q_from_qa(np.pi / 4), Branch.MINUS,
+                             params)
+    return evolve_gauged(state, params, drive, z_end=0.1, **kw)
+
+
+def _dirac(drive, **kw):
+    params = SuperlatticeParams(2.0, 1.817)
+    field = gaussian_spinor_packet(XiGrid.centered(64.0, 64), 0.0, 4.0,
+                                   params)
+    return dirac_evolve(field, drive, params, 0.1, **kw)
+
+
+def _bpm(drive, dz=None, **kw):
+    optics = OpticsParams()
+    grid = TransverseGrid.for_cells(optics, 8, 256)
+    field = gaussian_tilted_input(20.0, 0.0, optics, grid)
+    if dz is not None:
+        kw["dz_cm"] = dz
+    return bpm_run(field, optics, drive, 0.1, n_guides=16, **kw)
+
+
+@pytest.mark.parametrize("bad", [{"dz": 0.0}, {"dz": -1e-3},
+                                 {"snapshot_every": 0}],
+                         ids=["dz_zero", "dz_negative", "snapshot_zero"])
+@pytest.mark.parametrize("tier", [_two_level, _tight_binding, _dirac, _bpm],
+                         ids=["two_level", "tight_binding", "dirac", "bpm"])
+def test_bad_step_input_rejected(tier, bad):
+    drive = DriveProfile.from_phase_amplitude("single_cycle", 1.0, 0.6676)
+    with pytest.raises(ParameterError):
+        tier(drive, **bad)
+
+
+def _source_text():
+    return "\n".join(p.read_text(encoding="utf-8")
+                     for p in sorted(SRC.glob("*.py")))
+
+
+def test_source_holds_one_step_rule_and_one_unit_constant():
+    text = _source_text()
+    assert len(re.findall(r"^CM_PER_UM\s*=", text, re.M)) == 1
+    assert len(re.findall(r"period_cm\s*/\s*2000", text)) == 1
+    assert len(re.findall(r"int\(round\([^()]*/\s*dz", text)) == 1
