@@ -273,6 +273,9 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
         bends = drv.force(profile, z_start + h / 2) / a_cm
     else:
         phase_half = np.exp(-1j * v_static * (h / 2))
+        # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over each step
+        phi_ints = drv.phase_integral(profile, z_start, z_start + h)
+        phi_sq_ints = drv.phase_sq_integral(profile, z_start, z_start + h)
 
     env = field.envelope.astype(complex)
     p_launch = float(np.sum(np.abs(env) ** 2) * grid.dx_um)
@@ -293,9 +296,7 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
             phase_half = step_phase[1]
             kernel = kinetic
         else:
-            # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over the step
-            ints = (drv.phase_integral(profile, z_start[i], z_start[i] + h),
-                    drv.phase_sq_integral(profile, z_start[i], z_start[i] + h))
+            ints = (phi_ints[i], phi_sq_ints[i])
             if step_phase is None or ints != step_phase[0]:
                 chi = optics.diffraction_cm * (
                     k_cm**2 * h - 2 * k_cm * ints[0] / a_cm

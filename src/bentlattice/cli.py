@@ -66,7 +66,9 @@ def _add_common(parser):
                         help="override a config value (repeatable)")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweeps")
+                        help="parallel workers for sweeps over the "
+                        "tight_binding, dirac and bpm tiers (two-level "
+                        "sweeps run as one batched call)")
     parser.add_argument("--seedless", action="store_true",
                         help="assert that no RNG is used anywhere")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import drive as drv
 from .errors import DomainError, ParameterError, ShapeError
-from .integrate import default_dz, snapshot_stride, step_grid
+from .integrate import CHECK_EVERY, default_dz, snapshot_stride, step_grid
 from .tight_binding import Branch, Gauge, ModeVector, SuperlatticeParams
 
 
@@ -173,8 +173,8 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
     The kinetic+drive rotation angle over a step uses the analytic integral
     of Phi, so only the mass/kinetic non-commutativity contributes error.
     Raises DomainError when the packet support reaches the grid edge
-    (checked at every snapshot; the grid is periodic, so overflow means
-    wrap-around contamination).
+    (checked at every snapshot and every ``CHECK_EVERY`` steps; the
+    grid is periodic, so overflow means wrap-around contamination).
     """
     if dz is None:
         dz = default_dz(profile)
@@ -191,11 +191,12 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
     s2 = [p2.copy()]
     if _edge_density_fraction(field) > edge_tol:
         raise DomainError("initial support reaches the grid edge")
-    z = field.z
+    z_start = field.z + np.arange(n_steps) * h
+    phi_ints = drv.phase_integral(profile, z_start, z_start + h)
     for i in range(n_steps):
         p1 = p1 * em
         p2 = p2 * ep
-        chi = sigma * (k * h - 2.0 * drv.phase_integral(profile, z, z + h))
+        chi = sigma * (k * h - 2.0 * phi_ints[i])
         c, s = np.cos(chi), np.sin(chi)
         f1 = np.fft.fft(p1)
         f2 = np.fft.fft(p2)
@@ -204,11 +205,13 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
         p1 = p1 * em
         p2 = p2 * ep
         z = field.z + (i + 1) * h
-        if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
-            snap = SpinorField(p1, p2, field.grid, z)
-            if _edge_density_fraction(snap) > edge_tol:
+        snapshot = (i + 1) % snapshot_every == 0 or i == n_steps - 1
+        if snapshot or (i + 1) % CHECK_EVERY == 0:
+            now = SpinorField(p1, p2, field.grid, z)
+            if _edge_density_fraction(now) > edge_tol:
                 raise DomainError(
                     f"packet support reached the grid edge at z = {z:.4g} cm")
+        if snapshot:
             zs.append(z)
             s1.append(p1.copy())
             s2.append(p2.copy())

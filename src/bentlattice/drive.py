@@ -188,43 +188,50 @@ def axis_offset_um(profile: DriveProfile, z):
     return float(out) if np.isscalar(z) else out
 
 
-def phase_integral(profile: DriveProfile, z0: float, z1: float) -> float:
-    """Exact integral of Phi over [z0, z1] (closed form where available)."""
-    if z1 < z0:
-        return -phase_integral(profile, z1, z0)
-    _check_z(profile, (z0, z1))
+def _interval(profile: DriveProfile, z0, z1):
+    """``(lo, hi, sign)`` of checked intervals [z0, z1], lo <= hi, with
+    sign -1 where z1 < z0; arrays broadcast, bent drives are clipped to
+    the stretch where their phase is non-zero."""
+    z0, z1 = _check_z(profile, z0), _check_z(profile, z1)
+    lo, hi = np.minimum(z0, z1), np.maximum(z0, z1)
+    if profile.kind is DriveKind.SINGLE_CYCLE:
+        hi = np.minimum(hi, profile.period_cm)
+        lo = np.minimum(lo, hi)
+    return lo, hi, np.where(z1 < z0, -1.0, 1.0)
+
+
+def _result(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def phase_integral(profile: DriveProfile, z0, z1):
+    """Exact integral of Phi over [z0, z1] (closed form where available).
+
+    Vectorised over arrays of interval ends.
+    """
+    lo, hi, sign = _interval(profile, z0, z1)
     if profile.kind is DriveKind.STRAIGHT:
-        return 0.0
+        return _result(np.zeros_like(lo))
     if profile.kind is DriveKind.TABULATED:
         anti = profile._spline.antiderivative()
-        return float(anti(z1) - anti(z0))
+        return _result(sign * (anti(hi) - anti(lo)))
     w = 2 * np.pi / profile.period_cm
     phi0 = phase_amplitude(profile)
-    if profile.kind is DriveKind.SINGLE_CYCLE:
-        z0, z1 = max(z0, 0.0), min(z1, profile.period_cm)
-        if z1 <= z0:
-            return 0.0
-    return phi0 / w * (np.cos(w * z0) - np.cos(w * z1))
+    return _result(sign * (phi0 / w * (np.cos(w * lo) - np.cos(w * hi))))
 
 
-def phase_sq_integral(profile: DriveProfile, z0: float, z1: float) -> float:
-    """Integral of Phi^2 over [z0, z1]."""
-    if z1 < z0:
-        return -phase_sq_integral(profile, z1, z0)
-    _check_z(profile, (z0, z1))
+def phase_sq_integral(profile: DriveProfile, z0, z1):
+    """Integral of Phi^2 over [z0, z1].  Vectorised over arrays of ends."""
+    lo, hi, sign = _interval(profile, z0, z1)
     if profile.kind is DriveKind.STRAIGHT:
-        return 0.0
+        return _result(np.zeros_like(lo))
     if profile.kind is DriveKind.TABULATED:
         # 5-point Gauss-Legendre is exact enough for per-step spline segments
         nodes, weights = np.polynomial.legendre.leggauss(5)
-        mid, half = 0.5 * (z0 + z1), 0.5 * (z1 - z0)
-        vals = profile._spline(mid + half * nodes) ** 2
-        return float(half * np.dot(weights, vals))
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = profile._spline(mid[..., None] + half[..., None] * nodes) ** 2
+        return _result(sign * half * (vals @ weights))
     w = 2 * np.pi / profile.period_cm
     phi0 = phase_amplitude(profile)
-    if profile.kind is DriveKind.SINGLE_CYCLE:
-        z0, z1 = max(z0, 0.0), min(z1, profile.period_cm)
-        if z1 <= z0:
-            return 0.0
-    term = 0.5 * (z1 - z0) - (np.sin(2 * w * z1) - np.sin(2 * w * z0)) / (4 * w)
-    return float(phi0**2 * term)
+    term = 0.5 * (hi - lo) - (np.sin(2 * w * hi) - np.sin(2 * w * lo)) / (4 * w)
+    return _result(sign * phi0**2 * term)

@@ -65,17 +65,24 @@ def _self_check(num, summary, label, value, rerun, dz, tol):
             f"(> {tol:.0e}); decrease dz")
 
 
-def _run_two_level(scn: Scenario, out_dir):
+def _two_level_point(scn: Scenario):
+    """The ``tl.evolve`` arguments of the scenario, dz and the snapshot
+    stride left out, and its numerics section."""
     params = scn.lattice_params()
     profile = scn.drive_profile()
     q = _q_from_scenario(scn, params.spacing_cm)
     num = scn.section("numerics")
     state = (tl.ground_state(q, params) if scn.branch() is tb.Branch.MINUS
              else tl.TwoLevelState(0j, 1.0 + 0j, 0.0, q))
+    return (state, profile, params, scn.matrix_kind(), num["z_end_cm"]), num
+
+
+def _run_two_level(scn: Scenario, out_dir):
+    args, num = _two_level_point(scn)
+    profile = args[1]
 
     def run(dz, snap=None):
-        return tl.evolve(state, profile, params, scn.matrix_kind(),
-                         z_end=num["z_end_cm"], dz=dz, snapshot_every=snap)
+        return tl.evolve(*args, dz=dz, snapshot_every=snap)
 
     dz, snap = _step_plan(num, default_dz(profile), 4000)
     traj = run(dz, snap)
@@ -334,18 +341,69 @@ def sweep_axis_values(sweep_cfg):
     return [start + i * step for i in range(n)]
 
 
-def _sweep_point(args):
-    index, resolved_base, axis, value = args
+def _point_scenario(resolved_base, axis, value):
     section, key = axis.split(".", 1)
     point = {sec: dict(keys) for sec, keys in resolved_base.items()}
     kind = SCHEMA[section][key][0]
     point.setdefault(section, {})[key] = int(value) if kind == "int" else value
+    return Scenario(resolve(point))
+
+
+def _error_status(exc):
+    return f"error:{type(exc).__name__}"
+
+
+def _sweep_point(args):
+    index, resolved_base, axis, value = args
     try:
-        scn = Scenario(resolve(point))
+        scn = _point_scenario(resolved_base, axis, value)
         _, summary = _TIER_RUNNERS[scn.tier](scn, None)
         return index, summary, ""
     except BentLatticeError as exc:
-        return index, None, f"error:{type(exc).__name__}"
+        return index, None, _error_status(exc)
+
+
+def _batched_point_summary(args, num, dz, run, traj):
+    """Row values of one batched two-level point, checked as a run is."""
+    tl.check_norm(traj, run.h)
+    p_final = traj.transition_probability[-1]
+    summary = {"P_final": float(p_final), "phi0": drv.phase_amplitude(args[1])}
+
+    def rerun(h):
+        return tl.evolve(*args, dz=h,
+                         snapshot_every=None).transition_probability[-1]
+
+    _self_check(num, summary, "P_final", p_final, rerun, dz, 1e-6)
+    return summary
+
+
+def _sweep_two_level(tasks):
+    """Two-level sweep points, each resolved and checked as ``_sweep_point``
+    does; the points sharing a step grid advance in one batched call.
+
+    A row needs only the final state, so no other snapshot is kept.
+    """
+    results, groups = [], {}
+    for index, resolved_base, axis, value in tasks:
+        try:
+            scn = _point_scenario(resolved_base, axis, value)
+            args, num = _two_level_point(scn)
+            dz, _ = _step_plan(num, default_dz(args[1]), 4000)
+            run = tl.plan_run(*args, dz=dz, snapshot_every=None)
+        except BentLatticeError as exc:
+            results.append((index, None, _error_status(exc)))
+            continue
+        key = (run.state.z, run.n, run.h)
+        groups.setdefault(key, []).append((index, args, num, dz, run))
+    for group in groups.values():
+        trajs = tl.evolve_batch([point[-1] for point in group])
+        for (index, *point), traj in zip(group, trajs):
+            try:
+                summary = _batched_point_summary(*point, traj)
+                results.append((index, summary, ""))
+            except BentLatticeError as exc:
+                results.append((index, None, _error_status(exc)))
+    return results
 
 
 def _run_sweep(scn: Scenario, out_dir, jobs=1):
@@ -356,7 +414,9 @@ def _run_sweep(scn: Scenario, out_dir, jobs=1):
     base["scenario"]["tier"] = sweep_cfg["tier"]
     base.pop("sweep", None)
     tasks = [(i, base, axis, v) for i, v in enumerate(values)]
-    if jobs > 1:
+    if sweep_cfg["tier"] == "two_level":
+        results = _sweep_two_level(tasks)
+    elif jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_sweep_point, tasks)
     else:

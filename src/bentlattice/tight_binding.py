@@ -18,7 +18,7 @@ import numpy as np
 from . import drive as drv
 from .drive import CM_PER_UM
 from .errors import AccuracyError, ParameterError
-from .integrate import default_dz, rk4_evolve
+from .integrate import CHECK_EVERY, default_dz, rk4_evolve
 
 
 class Gauge(str, Enum):
@@ -207,12 +207,12 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary,
     if dz is None:
         dz = default_dz(profile)
     boundary = Boundary(boundary)
-    rhs = rhs_factory(params, profile, boundary)
+    samples, rhs = rhs_factory(params, profile, boundary)
     p0 = state.power
     drift_seen = [0.0]
 
     def monitor(i, z, y):
-        if (i + 1) % 200 == 0:
+        if (i + 1) % CHECK_EVERY == 0:
             drift = abs(np.sum(np.abs(y) ** 2) - p0) / p0
             drift_seen[0] = max(drift_seen[0], drift)
             if drift > power_tol:
@@ -220,8 +220,8 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary,
                     f"power drifted by {drift:.2e} at z = {z:.4g} cm; "
                     f"retry with dz = {dz / 2:.3e}")
 
-    zs, ys = rk4_evolve(rhs, state.amplitudes.astype(complex), state.z, z_end,
-                        dz, snapshot_every, callback=monitor)
+    zs, ys = rk4_evolve(rhs, samples, state.amplitudes.astype(complex),
+                        state.z, z_end, dz, snapshot_every, callback=monitor)
     drift = abs(np.sum(np.abs(ys[-1]) ** 2) - p0) / p0
     if drift > power_tol:
         raise AccuracyError(
@@ -230,39 +230,52 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary,
     return LatticeTrajectory(zs, ys, state.gauge, params)
 
 
-def _neighbor_sums(c, boundary):
-    if boundary is Boundary.PERIODIC:
-        return np.roll(c, -1), np.roll(c, 1)
-    up = np.zeros_like(c)
-    dn = np.zeros_like(c)
-    up[:-1] = c[1:]
-    dn[1:] = c[:-1]
-    return up, dn
+def _neighbors(n, boundary):
+    """``neighbors(c) -> (up, dn)`` with up_l = c_{l+1}, dn_l = c_{l-1},
+    written into two arrays reused across calls; hard walls leave the
+    outermost entries at zero."""
+    up = np.zeros(n, dtype=complex)
+    dn = np.zeros(n, dtype=complex)
+    periodic = boundary is Boundary.PERIODIC
+
+    def neighbors(c):
+        up[:-1] = c[1:]
+        dn[1:] = c[:-1]
+        if periodic:
+            up[-1] = c[0]
+            dn[0] = c[-1]
+        return up, dn
+
+    return neighbors
 
 
 def _bare_rhs(params, profile, boundary):
+    """Force samples on the half-step grid and ``rhs(force, c)``."""
     sigma = params.sigma_cm
     onsite = params.sublattice_sign * params.delta_cm
     l = params.sites.astype(float)
+    neighbors = _neighbors(params.n_sites, boundary)
 
-    def rhs(z, c):
-        up, dn = _neighbor_sums(c, boundary)
-        f = drv.force(profile, z)
+    def rhs(f, c):
+        up, dn = neighbors(c)
         return -1j * (-sigma * (up + dn) + onsite * c + f * l * c)
 
-    return rhs
+    return (lambda zs: drv.force(profile, zs).tolist()), rhs
 
 
 def _gauged_rhs(params, profile, boundary):
+    """Hopping-phase samples exp(-i Phi) on the half-step grid and
+    ``rhs(ph, a)``."""
     sigma = params.sigma_cm
     onsite = params.sublattice_sign * params.delta_cm
+    neighbors = _neighbors(params.n_sites, boundary)
 
-    def rhs(z, a):
-        up, dn = _neighbor_sums(a, boundary)
-        ph = np.exp(-1j * drv.phase(profile, z))
-        return -1j * (-sigma * ph * up - sigma * np.conj(ph) * dn + onsite * a)
+    def rhs(ph, a):
+        up, dn = neighbors(a)
+        return -1j * (-sigma * ph * up - sigma * ph.conjugate() * dn
+                      + onsite * a)
 
-    return rhs
+    return (lambda zs: np.exp(-1j * drv.phase(profile, zs)).tolist()), rhs
 
 
 def evolve_bare(state: ModeVector, params: SuperlatticeParams,

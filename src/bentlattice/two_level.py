@@ -18,6 +18,7 @@ reproduces the lattice, which the cross-tier tests check at 1e-8.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import drive as drv
 from .errors import AccuracyError, DegenerateGapError, ParameterError
-from .integrate import default_dz, snapshot_stride, step_grid
+from .integrate import (default_dz, half_step_blocks, snapshot_stride,
+                        step_grid)
 from .tight_binding import SuperlatticeParams
 
 
@@ -235,6 +237,128 @@ def _matrix_coefficients(kind, q, params, phis):
                         umap.vector_potential_from_phi(phis), umap.constants)
 
 
+@dataclass(frozen=True)
+class TwoLevelRun:
+    """One validated run: its initial state, its step grid ``(n, h)``, its
+    snapshot stride and ``coefficients(zs) -> (z11, z12)`` at z samples."""
+
+    state: TwoLevelState
+    matrix_kind: MatrixKind
+    n: int
+    h: float
+    stride: int
+    coefficients: Callable
+
+
+def plan_run(state: TwoLevelState, profile: drv.DriveProfile,
+             params: SuperlatticeParams, matrix_kind=MatrixKind.FULL,
+             z_end: float = None, dz: float = None,
+             snapshot_every: int = 1) -> TwoLevelRun:
+    """Validate the arguments of ``evolve`` and return the run they define.
+
+    Coefficients are evaluated block by block while stepping, so they are
+    evaluated here once at the two ends of the half-step grid: the drive's
+    z-range check and the coupling's gap check then fail before any step.
+    """
+    if z_end is None:
+        raise ParameterError("z_end is required")
+    if abs(state.norm - 1.0) > 1e-9:
+        raise ParameterError("initial occupations must satisfy |r-|^2 + |r+|^2 = 1")
+    if dz is None:
+        dz = default_dz(profile)
+    n, h = step_grid(z_end - state.z, dz)
+    stride = snapshot_stride(snapshot_every, n)
+    kind = MatrixKind(matrix_kind)
+
+    def coefficients(zs):
+        return _matrix_coefficients(kind, state.q, params,
+                                    drv.phase(profile, zs))
+
+    coefficients(state.z + np.array([0, 2 * n]) * (h / 2))
+    return TwoLevelRun(state, kind, n, h, stride, coefficients)
+
+
+def _rk4(rm, rp, coefficients, z0, n, h, stride):
+    """RK4 steps of the occupation amplitudes ``(rm, rp)``: complex scalars
+    for one run, ``(B,)`` arrays for a batch.  ``coefficients(zs)`` gives
+    ``(z11, z12)`` at a block's half-step samples; samples 2i, 2i+1 and
+    2i+2 serve the four stages of step i.  Returns the snapshot z and
+    amplitudes, the initial and final states included."""
+    out_z, out_m, out_p = [z0], [rm], [rp]
+    h6 = h / 6.0
+    for i0, i1, zs in half_step_blocks(z0, n, h):
+        z11, z12 = coefficients(zs)
+        for i in range(i0, i1):
+            j = 2 * (i - i0)
+            a0, b0 = z11[j], z12[j]
+            a1, b1 = z11[j + 1], z12[j + 1]
+            a2, b2 = z11[j + 2], z12[j + 2]
+            # generator [[-z11, z12], [z12, +z11]] on (r_minus, r_plus)
+            k1m = -1j * (-a0 * rm + b0 * rp)
+            k1p = -1j * (b0 * rm + a0 * rp)
+            m1, p1 = rm + 0.5 * h * k1m, rp + 0.5 * h * k1p
+            k2m = -1j * (-a1 * m1 + b1 * p1)
+            k2p = -1j * (b1 * m1 + a1 * p1)
+            m2, p2 = rm + 0.5 * h * k2m, rp + 0.5 * h * k2p
+            k3m = -1j * (-a1 * m2 + b1 * p2)
+            k3p = -1j * (b1 * m2 + a1 * p2)
+            m3, p3 = rm + h * k3m, rp + h * k3p
+            k4m = -1j * (-a2 * m3 + b2 * p3)
+            k4p = -1j * (b2 * m3 + a2 * p3)
+            rm = rm + h6 * (k1m + 2 * k2m + 2 * k3m + k4m)
+            rp = rp + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+            if (i + 1) % stride == 0 or i == n - 1:
+                out_z.append(z0 + (i + 1) * h)
+                out_m.append(rm)
+                out_p.append(rp)
+    return out_z, out_m, out_p
+
+
+def evolve_batch(runs) -> list:
+    """Advance runs sharing one start z, step grid and snapshot stride in
+    one RK4 loop; each trajectory equals that of a separate ``evolve`` call
+    bit for bit.  The norm-drift check is left to ``check_norm``, per run."""
+    z0, n, h, stride = grid = (runs[0].state.z, runs[0].n, runs[0].h,
+                               runs[0].stride)
+    if any((r.state.z, r.n, r.h, r.stride) != grid for r in runs):
+        raise ParameterError(
+            "batched runs must share start z, step grid and snapshot stride")
+    if len(runs) == 1:
+        # Python floats and complex scalars: at batch one they step about
+        # 15 times faster than (1,) numpy arrays, with the same arithmetic
+        run = runs[0]
+
+        def coefficients(zs):
+            z11, z12 = run.coefficients(zs)
+            return z11.tolist(), z12.tolist()
+
+        rm, rp = complex(run.state.r_minus), complex(run.state.r_plus)
+    else:
+        def coefficients(zs):
+            cols = [r.coefficients(zs) for r in runs]
+            return (np.stack([c[0] for c in cols], axis=1),
+                    np.stack([c[1] for c in cols], axis=1))
+
+        rm = np.array([complex(r.state.r_minus) for r in runs])
+        rp = np.array([complex(r.state.r_plus) for r in runs])
+    out_z, out_m, out_p = _rk4(rm, rp, coefficients, z0, n, h, stride)
+    z = np.array(out_z)
+    # (n_snapshots, B, 2), columns (r_minus, r_plus)
+    r = np.stack([np.array(out_m).reshape(len(out_z), -1),
+                  np.array(out_p).reshape(len(out_z), -1)], axis=-1)
+    return [TwoLevelTrajectory(z.copy(), r[:, b].copy(), float(run.state.q),
+                               run.matrix_kind)
+            for b, run in enumerate(runs)]
+
+
+def check_norm(traj: TwoLevelTrajectory, h: float):
+    """Raise AccuracyError when the final occupation norm drifted past 1e-8."""
+    drift = abs(traj.norm[-1] - 1.0)
+    if drift > 1e-8:
+        raise AccuracyError(
+            f"occupation norm drifted by {drift:.2e}; retry with dz = {h / 2:.3e}")
+
+
 def evolve(state: TwoLevelState, profile: drv.DriveProfile,
            params: SuperlatticeParams, matrix_kind=MatrixKind.FULL,
            z_end: float = None, dz: float = None,
@@ -244,52 +368,10 @@ def evolve(state: TwoLevelState, profile: drv.DriveProfile,
     The drive phase is sampled once on the half-step grid, so the four RK4
     stages reuse exact values and trajectories are bit-reproducible.
     """
-    if z_end is None:
-        raise ParameterError("z_end is required")
-    if abs(state.norm - 1.0) > 1e-9:
-        raise ParameterError("initial occupations must satisfy |r-|^2 + |r+|^2 = 1")
-    if dz is None:
-        dz = default_dz(profile)
-    n, h = step_grid(z_end - state.z, dz)
-    snapshot_every = snapshot_stride(snapshot_every, n)
-    zs_half = state.z + np.arange(2 * n + 1) * (h / 2)
-    phis = drv.phase(profile, zs_half)
-    z11, z12 = _matrix_coefficients(matrix_kind, state.q, params, phis)
-
-    rm = complex(state.r_minus)
-    rp = complex(state.r_plus)
-    out_z = [state.z]
-    out_r = [(rm, rp)]
-    h6 = h / 6.0
-    for i in range(n):
-        i2 = 2 * i
-        a0, b0 = z11[i2], z12[i2]
-        a1, b1 = z11[i2 + 1], z12[i2 + 1]
-        a2, b2 = z11[i2 + 2], z12[i2 + 2]
-        # generator [[-z11, z12], [z12, +z11]] on (r_minus, r_plus)
-        k1m = -1j * (-a0 * rm + b0 * rp)
-        k1p = -1j * (b0 * rm + a0 * rp)
-        m1, p1 = rm + 0.5 * h * k1m, rp + 0.5 * h * k1p
-        k2m = -1j * (-a1 * m1 + b1 * p1)
-        k2p = -1j * (b1 * m1 + a1 * p1)
-        m2, p2 = rm + 0.5 * h * k2m, rp + 0.5 * h * k2p
-        k3m = -1j * (-a1 * m2 + b1 * p2)
-        k3p = -1j * (b1 * m2 + a1 * p2)
-        m3, p3 = rm + h * k3m, rp + h * k3p
-        k4m = -1j * (-a2 * m3 + b2 * p3)
-        k4p = -1j * (b2 * m3 + a2 * p3)
-        rm += h6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        rp += h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        if (i + 1) % snapshot_every == 0 or i == n - 1:
-            out_z.append(state.z + (i + 1) * h)
-            out_r.append((rm, rp))
-
-    traj = TwoLevelTrajectory(np.array(out_z), np.array(out_r), float(state.q),
-                              MatrixKind(matrix_kind))
-    drift = abs(traj.norm[-1] - 1.0)
-    if drift > 1e-8:
-        raise AccuracyError(
-            f"occupation norm drifted by {drift:.2e}; retry with dz = {h / 2:.3e}")
+    run = plan_run(state, profile, params, matrix_kind, z_end, dz,
+                   snapshot_every)
+    traj, = evolve_batch([run])
+    check_norm(traj, run.h)
     return traj
 
 

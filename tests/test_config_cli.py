@@ -25,6 +25,20 @@ prefix = mini
 """
 
 
+def _two_level_sweep_rows(tmp_path, axis, values, overrides=()):
+    """Rows of a two-level sweep of MINIMAL_TWO_LEVEL over ``axis``."""
+    text = MINIMAL_TWO_LEVEL.replace("tier = two_level", "tier = sweep")
+    text += f"\n[sweep]\ntier = two_level\naxis = {axis}\nvalues = {values}\n"
+    run_scenario(scenario_from_text(text, list(overrides)), str(tmp_path))
+    return read_csv(tmp_path / "mini_sweep.csv")[1]
+
+
+def _two_level_p_final(overrides):
+    """P_final of a single MINIMAL_TWO_LEVEL run with the overrides."""
+    scn = scenario_from_text(MINIMAL_TWO_LEVEL, overrides)
+    return run_scenario(scn, None)["summary"]["P_final"]
+
+
 class TestParsing:
     def test_unknown_key_carries_path(self):
         with pytest.raises(ConfigError, match="drive.amplitude_nm"):
@@ -171,6 +185,34 @@ class TestRunner:
         name = "mini_sweep.csv"
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "par" / name).read_bytes()
+
+    @pytest.mark.parametrize("axis, values", [
+        ("drive.period_cm", "0.6676,0.5,0.81"),
+        ("input.qa_over_pi", "0.2,0.25,0.3"),
+    ], ids=["period", "qa"])
+    def test_batched_sweep_rows_equal_runs(self, tmp_path, axis, values):
+        # the period points each have their own step grid (n, h); the qa
+        # points share one and are advanced as one batch
+        rows = _two_level_sweep_rows(tmp_path, axis, values)
+        for row, value in zip(rows, values.split(",")):
+            assert row[5] == "ok"
+            assert row[4] == _two_level_p_final([f"{axis}={value}"])
+
+    @pytest.mark.parametrize("axis, values, overrides, error", [
+        ("drive.period_cm", "0.6676,-1.0,0.5", [], "ParameterError"),
+        ("lattice.delta_cm", "1.817,0.0,1.0",
+         ["input.qa_over_pi=0.5", "numerics.matrix_kind=reduced"],
+         "DegenerateGapError"),
+    ], ids=["negative_period", "closed_gap"])
+    def test_batched_sweep_keeps_point_errors(self, tmp_path, axis, values,
+                                              overrides, error):
+        rows = _two_level_sweep_rows(tmp_path, axis, values, overrides)
+        good = values.split(",")[::2]
+        assert [row[5] for row in rows] == ["ok", f"error:{error}", "ok"]
+        assert np.isnan(rows[1][4])
+        for row, value in zip(rows[::2], good):
+            assert row[4] == _two_level_p_final([*overrides,
+                                                 f"{axis}={value}"])
 
     def test_manifest_checksums_match_files(self, tmp_path):
         import hashlib

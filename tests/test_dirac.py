@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,20 @@ class TestPackets:
         with pytest.raises(DomainError):
             dirac_evolve(field, DriveProfile.straight(), params, z_end=8.0,
                          dz=1e-3, snapshot_every=200)
+
+
+    def test_edge_checked_between_snapshots(self, params):
+        # the packet crosses the periodic edge near z = 13 cm and is back
+        # inside the grid at z_end, so only the final state is a snapshot
+        # and only the checks between snapshots can see the crossing
+        grid = XiGrid.centered(128.0, 512)
+        field = gaussian_spinor_packet(grid, -np.pi / 2, 8.0, params,
+                                       center_xi=30.0)
+        with pytest.raises(DomainError) as info:
+            dirac_evolve(field, DriveProfile.straight(), params, z_end=39.3,
+                         dz=1e-2)
+        z_flagged = float(re.search(r"z = (\S+) cm", str(info.value))[1])
+        assert z_flagged < 15.0
 
 
 class TestLatticeMap:

@@ -128,6 +128,26 @@ class TestForce:
         assert phase_sq_integral(d, 0.0, 1.0) == pytest.approx(oracle, abs=1e-12)
 
 
+    @pytest.mark.parametrize("drive", [
+        DriveProfile.sinusoidal(23.0, 0.67, **STANDARD_GEOMETRY),
+        DriveProfile.single_cycle(23.0, 0.67, **STANDARD_GEOMETRY),
+        DriveProfile.tabulated(np.linspace(0.0, 2.0, 41),
+                               0.8 * np.sin(np.linspace(0.0, 6.0, 41))),
+    ], ids=["sinusoidal", "single_cycle", "tabulated"])
+    def test_integrals_vectorise(self, drive):
+        # intervals inside, across and past the single cycle, one reversed
+        z0 = np.array([0.0, 0.3, 0.6, 1.1, 0.9])
+        z1 = np.array([0.01, 0.31, 0.7, 1.2, 0.2])
+        for integral in (phase_integral, phase_sq_integral):
+            values = integral(drive, z0, z1)
+            assert values.shape == z0.shape
+            for a, b, value in zip(z0, z1, values):
+                assert value == pytest.approx(integral(drive, a, b),
+                                              rel=1e-14, abs=1e-16)
+                assert value == pytest.approx(-integral(drive, b, a),
+                                              rel=1e-14, abs=1e-16)
+
+
 class TestTabulated:
     def make_table(self, period=1.1, phi0=0.8, n=201):
         z = np.linspace(0.0, 2 * period, n)

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -94,3 +95,17 @@ def test_source_holds_one_step_rule_and_one_unit_constant():
     assert len(re.findall(r"^CM_PER_UM\s*=", text, re.M)) == 1
     assert len(re.findall(r"period_cm\s*/\s*2000", text)) == 1
     assert len(re.findall(r"int\(round\([^()]*/\s*dz", text)) == 1
+
+
+def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
+    # one RK4 stage body serves single two-level runs and batches
+    assert len(re.findall(r"^\s*k4m\s*=", _source_text(), re.M)) == 1
+    # the lattice right-hand sides read drive samples taken once on the
+    # half-step grid and fill preallocated neighbours
+    text = (SRC / "tight_binding.py").read_text(encoding="utf-8")
+    rhs = [ast.unparse(node) for node in ast.walk(ast.parse(text))
+           if isinstance(node, ast.FunctionDef) and node.name == "rhs"]
+    assert len(rhs) == 2
+    for body in rhs:
+        assert not re.search(r"drv\.(phase|force)\(|np\.roll\(", body)
+    assert "np.roll(" not in text

@@ -3,6 +3,7 @@ import pytest
 
 from bentlattice import (AccuracyError, Branch, DriveProfile, Gauge,
                          ParameterError, SuperlatticeParams)
+from bentlattice import drive as drv
 from bentlattice.tight_binding import (Boundary, bloch_eigenvector,
                                        bloch_mode_state, dispersion,
                                        evolve_bare, evolve_gauged,
@@ -93,6 +94,55 @@ class TestStraightEvolution:
         t2 = evolve_bare(bare, params, straight, z_end=0.7, dz=0.001,
                          boundary=Boundary.PERIODIC)
         assert np.max(np.abs(t1.states[-1] - t2.states[-1])) < 1e-13
+
+
+def per_stage_reference(state, params, profile, z_end, dz, boundary):
+    """Plain RK4 loop: drv.force or drv.phase evaluated at every stage's z,
+    neighbours from np.roll."""
+    sigma = params.sigma_cm
+    onsite = params.sublattice_sign * params.delta_cm
+    l = params.sites.astype(float)
+
+    def rhs(z, c):
+        up, dn = np.roll(c, -1), np.roll(c, 1)
+        if boundary is Boundary.HARD_WALL:
+            up[-1] = dn[0] = 0.0
+        if state.gauge is Gauge.BARE:
+            return -1j * (-sigma * (up + dn) + onsite * c
+                          + drv.force(profile, z) * l * c)
+        ph = np.exp(-1j * drv.phase(profile, z))
+        return -1j * (-sigma * ph * up - sigma * np.conj(ph) * dn
+                      + onsite * c)
+
+    n = int(round((z_end - state.z) / dz))
+    h = (z_end - state.z) / n
+    y = state.amplitudes.astype(complex)
+    for i in range(n):
+        z = state.z + i * h
+        k1 = rhs(z, y)
+        k2 = rhs(z + h / 2, y + h / 2 * k1)
+        k3 = rhs(z + h / 2, y + h / 2 * k2)
+        k4 = rhs(z + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+class TestHalfStepSamples:
+    @pytest.mark.parametrize("gauge, boundary, evolver", [
+        (Gauge.BARE, Boundary.HARD_WALL, evolve_bare),
+        (Gauge.GAUGED, Boundary.PERIODIC, evolve_gauged),
+    ], ids=["bare_hard_wall", "gauged_periodic"])
+    def test_matches_per_stage_reference(self, gauge, boundary, evolver):
+        # 1400 steps span six sample blocks, the last one short
+        params = SuperlatticeParams(2.0, 1.817, n_sites=32)
+        drive = DriveProfile.from_phase_amplitude("sinusoidal", 1.0, 0.5)
+        state = gaussian_packet_state(params.q_from_qa(np.pi / 4), 4.0,
+                                      params, gauge=gauge)
+        traj = evolver(state, params, drive, 0.7, dz=5e-4,
+                       snapshot_every=None, boundary=boundary)
+        ref = per_stage_reference(state, params, drive, 0.7, 5e-4, boundary)
+        assert len(traj.z) == 2
+        assert np.max(np.abs(traj.final.amplitudes - ref)) < 1e-13
 
 
 class TestUnitarity:

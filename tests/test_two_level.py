@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from bentlattice import (AccuracyError, Branch, DriveProfile, ParameterError,
+from bentlattice import (AccuracyError, Branch, DegenerateGapError,
+                         DomainError, DriveProfile, ParameterError,
                          SuperlatticeParams)
 from bentlattice.tight_binding import bloch_eigenvector, dispersion
 from bentlattice.two_level import (DiracUnitsMap, MatrixKind,
                                    PhysicalConstants, TwoLevelState,
                                    coupling_matrix_dirac, coupling_matrix_full,
-                                   coupling_matrix_reduced, evolve, free_energy,
-                                   ground_state, physical_energy, quasi_energy,
+                                   coupling_matrix_reduced, evolve,
+                                   evolve_batch, free_energy, ground_state,
+                                   physical_energy, plan_run, quasi_energy,
                                    quasi_energy_for_drive, resonance_period,
                                    transition_probability, zone_edge_k)
 
@@ -219,6 +221,52 @@ class TestEvolve:
         # whole cycles pass
         transition_probability(resonant_drive, params, q_quarter,
                                drive_length=3 * resonant_drive.period_cm)
+
+
+class TestBatchedStepper:
+    @pytest.mark.parametrize("kind", list(MatrixKind))
+    def test_batch_equals_separate_runs(self, params, kind):
+        # points differ in drive amplitude, momentum and initial state but
+        # share the step grid; a stride of 7 leaves a short last interval
+        lam = 0.6676
+        points = [(ground_state(params.q_from_qa(qa * np.pi), params),
+                   DriveProfile.from_phase_amplitude("single_cycle", phi0,
+                                                     lam))
+                  for phi0, qa in ((0.0, 0.25), (2.5, 0.25), (6.0, 0.3))]
+        points.append((TwoLevelState(0.8, -0.6j, 0.0,
+                                     params.q_from_qa(0.2 * np.pi)),
+                       points[2][1]))
+        runs = [plan_run(state, drive, params, kind, z_end=lam,
+                         snapshot_every=7) for state, drive in points]
+        batch = evolve_batch(runs)
+        for (state, drive), traj in zip(points, batch):
+            single = evolve(state, drive, params, kind, z_end=lam,
+                            snapshot_every=7)
+            assert np.array_equal(traj.z, single.z)
+            assert np.array_equal(traj.r, single.r)
+            assert traj.final == single.final
+        assert np.max(batch[2].transition_probability) > 0.1
+
+    def test_runs_on_different_grids_rejected(self, params, q_quarter,
+                                              single_cycle_b):
+        state = ground_state(q_quarter, params)
+        runs = [plan_run(state, single_cycle_b, params, z_end=0.6676, dz=dz)
+                for dz in (1e-3, 2e-3)]
+        with pytest.raises(ParameterError):
+            evolve_batch(runs)
+
+    def test_bad_point_fails_before_stepping(self, params):
+        # the drive table ends inside the run and the gap is closed at the
+        # zone edge: both are found at the grid ends, before any step
+        table = DriveProfile.tabulated(np.linspace(0.0, 0.5, 11),
+                                       np.zeros(11))
+        with pytest.raises(DomainError):
+            plan_run(ground_state(0.0, params), table, params, z_end=1.0)
+        gapless = SuperlatticeParams(2.0, 0.0)
+        with pytest.raises(DegenerateGapError):
+            plan_run(ground_state(gapless.q_from_qa(np.pi / 2), gapless),
+                     DriveProfile.straight(), gapless, MatrixKind.REDUCED,
+                     z_end=1.0)
 
 
 class TestQuasiEnergy:
