@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
 from .bpm import OpticsParams, sample_index_change
@@ -25,8 +26,9 @@ class BandStructure:
     """Eigenvalues and Fourier-basis eigenvectors on a q sample set.
 
     omega[b, i] is the b-th band (sorted ascending, most bound first) at
-    q_values[i] (rad/cm); coeffs[i, :, b] are the plane-wave coefficients
-    of its periodic part over reciprocal vectors G = g_indices * pi/a.
+    q_values[i] (rad/cm); coeffs[i, :, b] are the real plane-wave
+    coefficients of its periodic part over reciprocal vectors
+    G = g_indices * pi/a, each column of unit norm and of arbitrary sign.
     """
 
     q_values: np.ndarray
@@ -87,6 +89,10 @@ def _potential_matrix(optics: OpticsParams, g_indices, n_cell: int = 8192):
     The cell is sampled on [0, 2a) in the same coordinates as the full
     transverse grid (an A channel centred at x = 0), so eigenvector
     coefficients can be matched phase-consistently against grid fields.
+    Both channel shapes are even and an A channel sits at x = 0, so V(x) is
+    even and V_{G-G'} is real and depends on |G-G'| only.  The imaginary
+    part of the FFT is rounding (at most 3e-15 /cm against max|V| = 118 /cm
+    on the default optics), not physics, so it is dropped.
     """
     a_um = optics.spacing_um
     x_um = np.arange(n_cell) / n_cell * 2 * a_um
@@ -95,23 +101,26 @@ def _potential_matrix(optics: OpticsParams, g_indices, n_cell: int = 8192):
         peak = optics.dn1 if (round(center / a_um) % 2 == 0) else optics.dn2
         dn += peak * sample_index_change(optics, x_um - center)
     v_x = -2 * np.pi * dn / optics.wavelength_cm
-    v_g = np.fft.fft(v_x) / n_cell
-    dm = g_indices[:, None] - g_indices[None, :]
-    return v_g[dm % n_cell]
+    v_g = np.fft.rfft(v_x).real / n_cell
+    return v_g[np.abs(g_indices[:, None] - g_indices[None, :])]
 
 
 def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
                      n_q: int = 128, n_bands: int = 4, q_values=None,
                      n_cell: int = 8192,
                      check_truncation: bool = False) -> BandStructure:
-    """Diagonalise the cell operator in a truncated plane-wave basis.
+    """Lowest n_bands eigenpairs of the real symmetric cell operator.
 
-    n_plane_waves must be odd (symmetric truncation) and at least 41.  With
-    check_truncation the solve is repeated with 20 more plane waves and an
-    accuracy warning is issued if any kept band moves by > 1e-4 / cm.
+    H(q) = diag(D (q+G)^2) + V_{G-G'} in a truncated plane-wave basis; only
+    the kept bands are solved for (LAPACK dsyevr).  n_plane_waves must be
+    odd (symmetric truncation) and at least 41, and n_bands at least 1.
+    With check_truncation the solve is repeated with 20 more plane waves
+    and an accuracy warning is issued if any kept band moves by > 1e-4 / cm.
     """
     if n_plane_waves % 2 == 0 or n_plane_waves < 41:
         raise ParameterError("n_plane_waves must be odd and >= 41")
+    if n_bands < 1:
+        raise ParameterError(f"n_bands must be >= 1, got {n_bands!r}")
     if q_values is None:
         q_values = default_q_values(optics, n_q)
     q_values = np.asarray(q_values, dtype=float)
@@ -121,16 +130,18 @@ def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
     g = g_indices * (np.pi / a_cm)
     vmat = _potential_matrix(optics, g_indices, n_cell)
     diffraction = optics.wavelength_cm / (4 * np.pi * optics.n_s)
+    kinetic = diffraction * (q_values[:, None] + g) ** 2
+    if not (np.all(np.isfinite(vmat)) and np.all(np.isfinite(kinetic))):
+        raise ParameterError("cell operator is not finite; check the optics "
+                             "index changes, wavelength and q values")
 
     n_bands = min(n_bands, n_plane_waves)
     omega = np.empty((n_bands, len(q_values)))
-    coeffs = np.empty((len(q_values), n_plane_waves, n_bands), dtype=complex)
-    for i, q in enumerate(q_values):
-        h = np.diag(diffraction * (q + g) ** 2) + vmat
-        h = 0.5 * (h + h.conj().T)
-        vals, vecs = np.linalg.eigh(h)
-        omega[:, i] = vals[:n_bands]
-        coeffs[i] = vecs[:, :n_bands]
+    coeffs = np.empty((len(q_values), n_plane_waves, n_bands))
+    for i in range(len(q_values)):
+        omega[:, i], coeffs[i] = scipy.linalg.eigh(
+            np.diag(kinetic[i]) + vmat, subset_by_index=[0, n_bands - 1],
+            driver="evr", check_finite=False)
     bands = BandStructure(q_values, omega, coeffs, g_indices, optics)
 
     if check_truncation:

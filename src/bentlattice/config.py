@@ -84,7 +84,6 @@ SCHEMA = {
         "absorber_fraction": ("float", 0.10, None),
         "absorber_strength_cm": ("float", 600.0, None),
         "absorber_enabled": ("bool", True, None),
-        "drive_length_cm": ("float", None, None),
         "census_threshold": ("float", 0.1, None),
         "census_merge_um": ("float", None, None),
     },
@@ -245,6 +244,15 @@ def _validate_tier(resolved, tier):
             value = resolved["numerics"].get(key)
             if value is not None and value <= 0:
                 raise ConfigError("must be positive", f"numerics.{key}")
+    if tier == "bands":
+        bands = resolved["bands"]
+        for key in ("n_bands", "n_q"):
+            if bands[key] < 1:
+                raise ConfigError("must be >= 1", f"bands.{key}")
+        # a negative mode_q_index selects the middle q sample
+        if bands["dump_modes"] and bands["mode_q_index"] >= bands["n_q"]:
+            raise ConfigError(f"must be < bands.n_q = {bands['n_q']}",
+                              "bands.mode_q_index")
     drive = resolved["drive"]
     if drive["kind"] in ("sinusoidal", "single_cycle"):
         has_amp = drive.get("amplitude_um") is not None

@@ -77,7 +77,7 @@ def band_amplitudes(fieldgrid: FieldGrid, bands: BandStructure):
     amps = np.empty((n_q, bands.n_bands), dtype=complex)
     for iq in range(n_q):
         spectrum = np.where(usable[iq], ehat[bins[iq]], 0.0)
-        amps[iq] = (bands.coeffs[iq].conj().T @ spectrum) / np.sqrt(window_cm)
+        amps[iq] = (bands.coeffs[iq].T @ spectrum) / np.sqrt(window_cm)
     return amps
 
 

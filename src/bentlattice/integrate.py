@@ -18,6 +18,9 @@ from .errors import ParameterError
 
 # steps per block of drive samples on the half-step grid
 BLOCK_STEPS = 256
+# step-count ceiling of one run, 1000 times the longest preset's 100k
+# steps: a step grid above it would run for days, so it is an input error
+MAX_STEPS = 10**8
 # steps between the in-run checks of the lattice and spinor tiers (power
 # drift, edge density): a fault between snapshots ends the run early
 CHECK_EVERY = 200
@@ -31,11 +34,16 @@ def default_dz(profile: drv.DriveProfile) -> float:
 
 
 def step_grid(span: float, dz: float):
-    """``(n, h)``: n = max(1, round(span/dz)) fixed steps of h = span/n."""
+    """``(n, h)``: n = max(1, round(span/dz)) fixed steps of h = span/n,
+    at most ``MAX_STEPS``."""
     if not (0 < span < math.inf and 0 < dz < math.inf
             and math.isfinite(span / dz)):
         raise ParameterError("integration span and step dz must be finite and "
                              f"positive, got span = {span!r}, dz = {dz!r}")
+    if span / dz > MAX_STEPS:
+        raise ParameterError(
+            f"step dz = {dz!r} gives n = {span / dz:.3g} steps over span = "
+            f"{span!r}, above the ceiling of {MAX_STEPS}; increase dz")
     n = max(1, int(round(span / dz)))
     return n, span / n
 

@@ -469,6 +469,15 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
+def _check_finite(summary):
+    """Raise AccuracyError naming the first summary key holding a float
+    that is not finite, list entries included."""
+    for key, value in summary.items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise AccuracyError(f"summary {key} is not finite: {value!r}")
+
+
 def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
     """Execute a scenario, write outputs and manifest, return the manifest."""
     if out_dir is not None:
@@ -479,6 +488,7 @@ def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
             summary["status"] = "partial"
     elif scn.tier in _TIER_RUNNERS:
         files, summary = _TIER_RUNNERS[scn.tier](scn, out_dir)
+        _check_finite(summary)
         summary["status"] = "ok"
     else:
         raise ConfigError(f"unknown tier {scn.tier}", "scenario.tier")

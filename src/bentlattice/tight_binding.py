@@ -10,6 +10,7 @@ drives and admits periodic boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,6 +37,11 @@ class Boundary(str, Enum):
     HARD_WALL = "hard_wall"
 
 
+# sqrt(delta^2 + 4 sigma^2) must stay below this so that the squared
+# splitting delta^2 + 4 sigma^2 cos^2(qa) of the couplings is finite
+_MAX_SPLITTING = math.sqrt(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class SuperlatticeParams:
     """Tight-binding constants of the binary array.
@@ -56,6 +62,10 @@ class SuperlatticeParams:
             raise ParameterError("sigma must be positive")
         if self.delta_cm < 0:
             raise ParameterError("delta must be non-negative")
+        if not math.hypot(self.delta_cm, 2 * self.sigma_cm) < _MAX_SPLITTING:
+            raise ParameterError(
+                f"sigma = {self.sigma_cm!r} and delta = {self.delta_cm!r} "
+                "overflow delta^2 + 4 sigma^2")
         if self.n_sites % 2 != 0 or self.n_sites < 4:
             raise ParameterError("n_sites must be even and >= 4")
 

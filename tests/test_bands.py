@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bentlattice import CalibrationError, OpticsParams, ParameterError
 from bentlattice.bands import (BandStructure, calibrate_channel,
                                default_q_values, fit_tight_binding,
                                grid_q_values, plane_wave_bands,
                                _potential_matrix)
+from bentlattice.bpm import ChannelShape, sample_index_change
 
 CM_PER_UM = 1e-4
 
@@ -18,11 +21,38 @@ def calibrated_bands():
                             n_bands=4)
 
 
+def _complex_potential(optics, g_indices):
+    """V_{G-G'} from the complex FFT of the 4-centre cell, imaginary part kept."""
+    n_cell = 8192
+    a_um = optics.spacing_um
+    x_um = np.arange(n_cell) / n_cell * 2 * a_um
+    dn = np.zeros(n_cell)
+    for center in (-a_um, 0.0, a_um, 2 * a_um):
+        peak = optics.dn1 if (round(center / a_um) % 2 == 0) else optics.dn2
+        dn += peak * sample_index_change(optics, x_um - center)
+    v_g = np.fft.fft(-2 * np.pi * dn / optics.wavelength_cm) / n_cell
+    return v_g[(g_indices[:, None] - g_indices[None, :]) % n_cell]
+
+
+def _complex_reference(optics, n_plane_waves, q):
+    """Full spectrum of the Hermitian-symmetrised complex cell operator."""
+    g_indices = np.arange(n_plane_waves) - n_plane_waves // 2
+    g = g_indices * np.pi / (optics.spacing_um * CM_PER_UM)
+    h = np.diag(optics.diffraction_cm * (q + g) ** 2) + _complex_potential(
+        optics, g_indices)
+    return np.linalg.eigh(0.5 * (h + h.conj().T))
+
+
 class TestAssembly:
-    def test_potential_matrix_hermitian(self):
-        g = np.arange(-40, 41)
-        v = _potential_matrix(OpticsParams(), g)
-        assert np.max(np.abs(v - v.conj().T)) < 1e-12
+    def test_potential_matrix_real_symmetric(self):
+        g = np.arange(-80, 81)
+        for shape in ChannelShape:
+            optics = OpticsParams(channel_shape=shape)
+            v = _potential_matrix(optics, g)
+            assert v.dtype == np.float64
+            assert np.array_equal(v, v.T)
+            reference = _complex_potential(optics, g)
+            assert np.max(np.abs(v - reference)) <= 1e-12 * np.max(np.abs(v))
 
     def test_even_truncation_rejected(self):
         with pytest.raises(ParameterError):
@@ -30,11 +60,44 @@ class TestAssembly:
         with pytest.raises(ParameterError):
             plane_wave_bands(OpticsParams(), n_plane_waves=31)
 
+    @pytest.mark.parametrize("n_bands", [0, -1])
+    def test_no_bands_rejected(self, n_bands):
+        with pytest.raises(ParameterError, match="n_bands"):
+            plane_wave_bands(OpticsParams(), n_plane_waves=41, n_q=4,
+                             n_bands=n_bands)
+
+    def test_non_finite_operator_rejected(self):
+        optics = OpticsParams(dn1=1e300, dn2=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ParameterError, match="not finite"):
+                plane_wave_bands(optics, n_plane_waves=41, n_q=4)
+
     def test_truncation_is_converged_at_default(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             plane_wave_bands(OpticsParams(), n_plane_waves=81, n_q=8,
                              n_bands=2, check_truncation=True)
+
+
+class TestRealSubsetSolve:
+    @settings(max_examples=12, deadline=None)
+    @given(qa_over_pi=st.floats(-0.5, 0.5),
+           width_um=st.floats(2.4, 4.2),
+           dn2_ratio=st.floats(0.9, 0.99),
+           shape=st.sampled_from(list(ChannelShape)))
+    def test_matches_full_complex_solve(self, qa_over_pi, width_um,
+                                        dn2_ratio, shape):
+        optics = OpticsParams(channel_width_um=width_um,
+                              dn2=dn2_ratio * OpticsParams().dn1,
+                              channel_shape=shape)
+        q = qa_over_pi * np.pi / (optics.spacing_um * CM_PER_UM)
+        bands = plane_wave_bands(optics, n_plane_waves=81, q_values=[q],
+                                 n_bands=2)
+        vals, vecs = _complex_reference(optics, 81, q)
+        assert np.max(np.abs(bands.omega[:, 0] - vals[:2])) < 1e-9
+        # the reference vectors carry an arbitrary phase, the real ones a sign
+        overlap = vecs[:, :2].conj().T @ bands.coeffs[0]
+        assert np.max(np.abs(np.abs(np.diag(overlap)) - 1.0)) < 1e-9
 
 
 class TestFreeSpaceLimit:

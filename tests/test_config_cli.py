@@ -277,6 +277,44 @@ class TestCli:
         key = override.split("=", 1)[0]
         assert f"config error: {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["bands", "--preset", "fig4_bands", "--set", "bands.n_bands=-1"],
+         2, "config error: bands.n_bands"),
+        (["bands", "--preset", "fig4_bands", "--set", "bands.n_bands=0"],
+         2, "config error: bands.n_bands"),
+        (["bands", "--preset", "fig4_bands", "--set", "bands.n_q=0"],
+         2, "config error: bands.n_q"),
+        (["bands", "--preset", "fig4_bands", "--set", "bands.n_q=8",
+          "--set", "bands.dump_modes=1", "--set", "bands.mode_q_index=99"],
+         2, "config error: bands.mode_q_index"),
+        (["run", "--preset", "fig3b", "--set", "numerics.drive_length_cm=5"],
+         2, "config error: numerics.drive_length_cm: unknown key"),
+        (["run", "--preset", "fig3b", "--set", "drive.period_cm=1e-300"],
+         3, "dz"),
+        (["run", "--preset", "fig3b", "--set", "lattice.sigma_cm=1e200"],
+         3, "overflow"),
+        (["run", "--preset", "fig3b", "--set", "lattice.delta_cm=1e150"],
+         3, "summary P_final is not finite"),
+        (["run", "--preset", "fig5b", "--set", "optics.dn1=1e300",
+          "--set", "optics.dn2=1e300", "--set", "numerics.z_end_cm=0.01"],
+         3, "cell operator is not finite"),
+    ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
+            "drive_length_cm", "step_ceiling", "sigma_overflow",
+            "nan_summary", "non_finite_bands"])
+    def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
+                                      message):
+        with np.errstate(all="ignore"):
+            assert cli_main([*argv, "--out", str(tmp_path)]) == code
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_list_entry_rejected(self, monkeypatch):
+        from bentlattice import AccuracyError, runner
+        monkeypatch.setitem(
+            runner._TIER_RUNNERS, "two_level",
+            lambda scn, out_dir: ({}, {"packet_velocities": [1.0, np.nan]}))
+        with pytest.raises(AccuracyError, match="packet_velocities"):
+            run_scenario(scenario_from_text(MINIMAL_TWO_LEVEL), None)
+
     def test_numeric_error_exit_code(self, tmp_path):
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text(MINIMAL_TWO_LEVEL

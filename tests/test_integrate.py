@@ -33,7 +33,7 @@ class TestStepRule:
     @pytest.mark.parametrize("span, dz", [
         (0.0, 0.1), (-1.0, 0.1), (math.nan, 0.1), (math.inf, 0.1),
         (1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf),
-        (1.0, 1e-320)])
+        (1.0, 1e-320), (1.0, 1e-9), (0.6676, 5e-304)])
     def test_step_grid_rejects(self, span, dz):
         with pytest.raises(ParameterError):
             step_grid(span, dz)

@@ -285,11 +285,6 @@ class TestQuasiEnergy:
             minus = quasi_energy(params.q_from_qa(-qa), -phi0, params)
             assert plus == pytest.approx(minus, rel=1e-12)
 
-    def test_coarse_quadrature_rejected(self, params, q_quarter):
-        from bentlattice import AccuracyError
-        with pytest.raises(AccuracyError):
-            quasi_energy(q_quarter, 8.0, params, n_base=2)
-
     def test_drive_shape_variant_matches_sinusoid(self, params, q_quarter,
                                                   resonant_drive):
         direct = quasi_energy(q_quarter, 0.4, params)
