@@ -105,6 +105,19 @@ def _potential_matrix(optics: OpticsParams, g_indices, n_cell: int = 8192):
     return v_g[np.abs(g_indices[:, None] - g_indices[None, :])]
 
 
+def _mirror_sources(q_values, a_cm):
+    """For each q, the index of an earlier, directly solved q equal to -q
+    within rounding, or -1 where q must be solved itself."""
+    tol = 64 * np.finfo(float).eps * np.pi / a_cm
+    sources = np.full(len(q_values), -1)
+    for i, q in enumerate(q_values):
+        partners = np.flatnonzero(np.abs(q_values[:i] + q) <= tol)
+        partners = partners[sources[partners] < 0]
+        if partners.size:
+            sources[i] = partners[0]
+    return sources
+
+
 def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
                      n_q: int = 128, n_bands: int = 4, q_values=None,
                      n_cell: int = 8192,
@@ -112,7 +125,8 @@ def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
     """Lowest n_bands eigenpairs of the real symmetric cell operator.
 
     H(q) = diag(D (q+G)^2) + V_{G-G'} in a truncated plane-wave basis; only
-    the kept bands are solved for (LAPACK dsyevr).  n_plane_waves must be
+    the kept bands are solved for (LAPACK dsyevr), once per pair of
+    opposite q values, the partner mirrored.  n_plane_waves must be
     odd (symmetric truncation) and at least 41, and n_bands at least 1.
     With check_truncation the solve is repeated with 20 more plane waves
     and an accuracy warning is issued if any kept band moves by > 1e-4 / cm.
@@ -138,7 +152,12 @@ def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
     n_bands = min(n_bands, n_plane_waves)
     omega = np.empty((n_bands, len(q_values)))
     coeffs = np.empty((len(q_values), n_plane_waves, n_bands))
-    for i in range(len(q_values)):
+    for i, j in enumerate(_mirror_sources(q_values, a_cm)):
+        if j >= 0:
+            # time reversal: H(-q) is H(q) with G -> -G, so the bands agree
+            # and the coefficients come in reversed basis order
+            omega[:, i], coeffs[i] = omega[:, j], coeffs[j, ::-1]
+            continue
         omega[:, i], coeffs[i] = scipy.linalg.eigh(
             np.diag(kinetic[i]) + vmat, subset_by_index=[0, n_bands - 1],
             driver="evr", check_finite=False)

@@ -202,10 +202,14 @@ def gaussian_tilted_input(w0_um: float, theta_rad: float, optics: OpticsParams,
     """Broad Gaussian excitation exp[-(x/w0)^2] exp(2 pi i n_s x theta/lambda).
 
     Normalised to unit power.  The grid should be at least ~6 w0 wide plus
-    the absorber margin; narrower windows raise DomainError.
+    the absorber margin; narrower windows raise DomainError.  A spot below
+    the grid spacing would be a one-point spike, so it is rejected.
     """
     if w0_um <= 0:
         raise ParameterError("spot size must be positive")
+    if w0_um < grid.dx_um:
+        raise ParameterError(f"spot size w0_um = {w0_um!r} is below the grid "
+                             f"spacing dx = {grid.dx_um!r} um")
     if grid.width_um < 6 * w0_um:
         raise DomainError("grid narrower than 6 spot sizes")
     x_um = grid.x_um

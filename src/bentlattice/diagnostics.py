@@ -16,10 +16,9 @@ from . import drive as drv
 from .bands import BandStructure, grid_q_values, plane_wave_bands
 from .bpm import FieldGrid, OpticsParams, TransverseGrid
 from .drive import CM_PER_UM
-from .errors import ParameterError, ShapeError
-from .tight_binding import (Branch, Gauge, LatticeTrajectory, ModeVector,
-                            SuperlatticeParams, bloch_eigenvector,
-                            gauge_transform)
+from .errors import DegenerateGapError, ParameterError, ShapeError
+from .tight_binding import (Gauge, LatticeTrajectory, ModeVector,
+                            SuperlatticeParams, gauge_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +136,34 @@ def _sublattice_spectra(amplitudes, params):
     return qa_values, phase_e @ even, phase_o @ odd
 
 
+def _branch_eigenvectors(qa_values, params: SuperlatticeParams):
+    """``bloch_eigenvector`` of both branches at every qa at once: two
+    (2, n) arrays of (s1, s2) rows, lower branch first, with its gap-edge
+    convention at qa = pi/2 and its error when the gap is closed there."""
+    sigma, delta = params.sigma_cm, params.delta_cm
+    c = np.cos(qa_values)
+    w = np.sqrt(delta**2 + 4 * sigma**2 * c**2)
+    edge = np.abs(c) < 1e-14
+    if delta == 0.0 and edge.any():
+        raise DegenerateGapError("delta = 0 at the zone edge: gap closed")
+    pair = []
+    for wb, fixed in ((-w, (0.0, 1.0)), (w, (1.0, 0.0))):
+        norm = np.sqrt(2 * w * np.abs(wb - delta))
+        v = np.array([-2 * sigma * c, wb - delta])
+        np.divide(v, norm, out=v, where=~edge)
+        v[:, edge] = np.array(fixed)[:, None]
+        pair.append(v)
+    return pair
+
+
 def lattice_band_amplitudes(state: ModeVector, params: SuperlatticeParams):
     """Per-q occupation amplitudes (r_minus, r_plus) of a gauged state."""
     if state.gauge is not Gauge.GAUGED:
         raise ParameterError("lattice projections need gauged amplitudes "
                              "(gauge_transform first)")
     qa_values, s1, s2 = _sublattice_spectra(state.amplitudes, params)
-    r_minus = np.empty_like(s1)
-    r_plus = np.empty_like(s1)
-    for i, qa in enumerate(qa_values):
-        q = qa / params.spacing_cm
-        vm = bloch_eigenvector(q, Branch.MINUS, params)
-        vp = bloch_eigenvector(q, Branch.PLUS, params)
-        r_minus[i] = vm[0] * s1[i] + vm[1] * s2[i]
-        r_plus[i] = vp[0] * s1[i] + vp[1] * s2[i]
-    return qa_values, r_minus, r_plus
+    vm, vp = _branch_eigenvectors(qa_values, params)
+    return qa_values, vm[0] * s1 + vm[1] * s2, vp[0] * s1 + vp[1] * s2
 
 
 def lattice_transition_probability(source, params: SuperlatticeParams,

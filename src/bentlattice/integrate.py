@@ -56,16 +56,16 @@ def snapshot_stride(snapshot_every, n: int) -> int:
     return n if snapshot_every is None else snapshot_every
 
 
-def half_step_blocks(z0: float, n: int, h: float):
+def half_step_blocks(z0: float, n: int, h: float, block: int = BLOCK_STEPS):
     """Blocks ``(i0, i1, zs)`` of an n-step grid from z0: steps i0..i1-1
     and their half-step samples ``zs = z0 + arange(2 i0, 2 i1 + 1) h/2``.
 
     Drive values are evaluated once per sample, one vectorised call per
     block, and the four RK4 stages of step i read samples 2i, 2i+1, 2i+1
-    and 2i+2; blocks of ``BLOCK_STEPS`` keep memory bounded at any length.
+    and 2i+2; blocks of ``block`` steps keep memory bounded at any length.
     """
-    for i0 in range(0, n, BLOCK_STEPS):
-        i1 = min(n, i0 + BLOCK_STEPS)
+    for i0 in range(0, n, block):
+        i1 = min(n, i0 + block)
         yield i0, i1, z0 + np.arange(2 * i0, 2 * i1 + 1) * (h / 2)
 
 

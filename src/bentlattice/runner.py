@@ -358,6 +358,7 @@ def _sweep_point(args):
     try:
         scn = _point_scenario(resolved_base, axis, value)
         _, summary = _TIER_RUNNERS[scn.tier](scn, None)
+        _check_finite(summary)
         return index, summary, ""
     except BentLatticeError as exc:
         return index, None, _error_status(exc)
@@ -368,6 +369,7 @@ def _batched_point_summary(args, num, dz, run, traj):
     tl.check_norm(traj, run.h)
     p_final = traj.transition_probability[-1]
     summary = {"P_final": float(p_final), "phi0": drv.phase_amplitude(args[1])}
+    _check_finite(summary)
 
     def rerun(h):
         return tl.evolve(*args, dz=h,

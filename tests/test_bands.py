@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,6 +99,44 @@ class TestRealSubsetSolve:
         # the reference vectors carry an arbitrary phase, the real ones a sign
         overlap = vecs[:, :2].conj().T @ bands.coeffs[0]
         assert np.max(np.abs(np.abs(np.diag(overlap)) - 1.0)) < 1e-9
+
+
+class TestTimeReversalMirror:
+    @settings(max_examples=8, deadline=None)
+    @given(qa_over_pi=st.floats(0.01, 0.49))
+    def test_mirrored_q_matches_direct_solve(self, qa_over_pi):
+        optics = OpticsParams()
+        q = qa_over_pi * np.pi / (optics.spacing_um * CM_PER_UM)
+        pair = plane_wave_bands(optics, n_plane_waves=81, q_values=[q, -q])
+        direct = plane_wave_bands(optics, n_plane_waves=81, q_values=[-q])
+        assert np.max(np.abs(pair.omega[:, 1] - direct.omega[:, 0])) < 1e-9
+        for band in range(pair.n_bands):
+            mirrored = pair.coeffs[1, :, band]
+            solved = direct.coeffs[0, :, band]
+            assert min(np.max(np.abs(mirrored - solved)),
+                       np.max(np.abs(mirrored + solved))) < 1e-9
+
+    @pytest.mark.parametrize("q_values, solves", [
+        (None, 65),
+        (grid_q_values(OpticsParams(), 82 * 2 * 10.0 * CM_PER_UM), 42),
+    ], ids=["default_grid", "window_comb"])
+    def test_each_pair_is_solved_once(self, monkeypatch, q_values, solves):
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+        bands = plane_wave_bands(OpticsParams(), n_plane_waves=41,
+                                 q_values=q_values, n_bands=2)
+        assert len(calls) == solves
+        # every column, mirrored or not, holds the bands of its own q
+        for i, q in enumerate(bands.q_values):
+            alone = plane_wave_bands(OpticsParams(), n_plane_waves=41,
+                                     q_values=[q], n_bands=2)
+            assert np.max(np.abs(bands.omega[:, i] - alone.omega[:, 0])) < 1e-9
 
 
 class TestFreeSpaceLimit:

@@ -96,6 +96,12 @@ class TestTiltedInput:
         with pytest.raises(DomainError):
             gaussian_tilted_input(80.0, 0.0, optics, tiny)
 
+    def test_spot_below_grid_spacing_rejected(self, optics, grid):
+        # one grid step is the narrowest spot the grid can carry
+        gaussian_tilted_input(grid.dx_um, 0.0, optics, grid)
+        with pytest.raises(ParameterError, match="grid spacing"):
+            gaussian_tilted_input(0.5 * grid.dx_um, 0.0, optics, grid)
+
 
 class TestFreeDiffraction:
     def test_width_law(self, optics):

@@ -307,6 +307,25 @@ class TestCli:
             assert cli_main([*argv, "--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
 
+    def test_sweep_of_non_finite_points_fails(self, tmp_path):
+        # delta = 1e150 overflows every point's coupling, so each point's
+        # amplitudes turn NaN: each row is an error, none is written as ok
+        with np.errstate(all="ignore"):
+            code = cli_main(["sweep", "--preset", "fig3", "--set",
+                             "lattice.delta_cm=1e150", "--out", str(tmp_path)])
+        assert code == 3
+        summary = json.loads((tmp_path / "manifest.json").read_text())["summary"]
+        assert summary["n_failed"] == summary["n_points"] == 161
+        _, rows = read_csv(tmp_path / "fig3_sweep.csv")
+        assert len(rows) == 161
+        assert {row[5] for row in rows} == {"error:AccuracyError"}
+
+    def test_spot_below_grid_spacing_exit_code(self, tmp_path, capsys):
+        argv = ["run", "--preset", "fig5b", "--set", "input.w0_um=1e-300",
+                "--set", "numerics.z_end_cm=0.01", "--out", str(tmp_path)]
+        assert cli_main(argv) == 3
+        assert "grid spacing" in capsys.readouterr().err
+
     def test_non_finite_list_entry_rejected(self, monkeypatch):
         from bentlattice import AccuracyError, runner
         monkeypatch.setitem(

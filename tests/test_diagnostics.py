@@ -11,8 +11,9 @@ from bentlattice.diagnostics import (band_amplitudes, band_populations,
                                      miniband_transition_fraction,
                                      packet_census, project_onto_band,
                                      second_moment, track_packets)
-from bentlattice.errors import ParameterError, ShapeError
-from bentlattice.tight_binding import bloch_mode_state, dispersion
+from bentlattice.errors import DegenerateGapError, ParameterError, ShapeError
+from bentlattice.tight_binding import (Gauge, ModeVector, bloch_eigenvector,
+                                       bloch_mode_state, dispersion)
 
 CM_PER_UM = 1e-4
 
@@ -121,6 +122,34 @@ class TestLatticeProjection:
         qa, r_minus, r_plus = lattice_band_amplitudes(state, params)
         recovered = np.sum(np.abs(r_minus) ** 2 + np.abs(r_plus) ** 2)
         assert recovered == pytest.approx(state.power, rel=1e-12)
+
+    def test_band_amplitudes_match_per_q_loop(self, params):
+        from bentlattice.diagnostics import (_sublattice_spectra,
+                                             lattice_band_amplitudes)
+        rng = np.random.default_rng(3)
+        amps = (rng.standard_normal(params.n_sites)
+                + 1j * rng.standard_normal(params.n_sites))
+        state = ModeVector(amps, Gauge.GAUGED, 0.0)
+        qa, r_minus, r_plus = lattice_band_amplitudes(state, params)
+        # the zone edge is on the momentum grid, where the fixed
+        # eigenvector convention applies
+        assert np.pi / 2 in qa
+        _, s1, s2 = _sublattice_spectra(amps, params)
+        for i, qa_i in enumerate(qa):
+            vm = bloch_eigenvector(qa_i / params.spacing_cm, Branch.MINUS,
+                                   params)
+            vp = bloch_eigenvector(qa_i / params.spacing_cm, Branch.PLUS,
+                                   params)
+            assert abs(r_minus[i] - (vm[0] * s1[i] + vm[1] * s2[i])) < 1e-14
+            assert abs(r_plus[i] - (vp[0] * s1[i] + vp[1] * s2[i])) < 1e-14
+
+    def test_band_amplitudes_reject_closed_gap(self):
+        from bentlattice.diagnostics import lattice_band_amplitudes
+        gapless = SuperlatticeParams(2.0, 0.0, n_sites=64)
+        state = bloch_mode_state(gapless.q_from_qa(np.pi / 4), Branch.MINUS,
+                                 gapless)
+        with pytest.raises(DegenerateGapError):
+            lattice_band_amplitudes(state, gapless)
 
 
 class TestMoments:

@@ -98,8 +98,15 @@ def test_source_holds_one_step_rule_and_one_unit_constant():
 
 
 def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
-    # one RK4 stage body serves single two-level runs and batches
-    assert len(re.findall(r"^\s*k4m\s*=", _source_text(), re.M)) == 1
+    # one composed stepper serves single two-level runs and batches: RK4
+    # step maps in closed form, one block loop, no loop over single steps
+    assert len(re.findall(r"^def _step_maps\(", _source_text(), re.M)) == 1
+    tree = ast.parse((SRC / "two_level.py").read_text(encoding="utf-8"))
+    loops = [ast.unparse(node.iter) for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert sum("half_step_blocks(" in it for it in loops) == 1
+    assert [it for it in loops if it.startswith("range(")] == [
+        "range(0, len(runs), TREE_RUNS)"]
     # the lattice right-hand sides read drive samples taken once on the
     # half-step grid and fill preallocated neighbours
     text = (SRC / "tight_binding.py").read_text(encoding="utf-8")

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bentlattice import (AccuracyError, Branch, DegenerateGapError,
                          DomainError, DriveProfile, ParameterError,
                          SuperlatticeParams)
 from bentlattice.tight_binding import bloch_eigenvector, dispersion
-from bentlattice.two_level import (DiracUnitsMap, MatrixKind,
-                                   PhysicalConstants, TwoLevelState,
+from bentlattice.two_level import (TREE_RUNS, TREE_STEPS, DiracUnitsMap,
+                                   MatrixKind, PhysicalConstants,
+                                   TwoLevelRun, TwoLevelState,
                                    coupling_matrix_dirac, coupling_matrix_full,
                                    coupling_matrix_reduced, evolve,
                                    evolve_batch, free_energy, ground_state,
@@ -267,6 +270,67 @@ class TestBatchedStepper:
             plan_run(ground_state(gapless.q_from_qa(np.pi / 2), gapless),
                      DriveProfile.straight(), gapless, MatrixKind.REDUCED,
                      z_end=1.0)
+
+
+
+def _rk4_reference(r0, z11, z12, h, steps):
+    """Stage-by-stage RK4 of (r-, r+) columns under the generator
+    [[-z11, z12], [z12, z11]], with coefficients tabulated on the half-step
+    grid (rows 2i, 2i+1, 2i+2 serve step i); the states after ``steps``."""
+    def rhs(j, r):
+        a, b = z11[j], z12[j]
+        return -1j * np.array([-a * r[0] + b * r[1], b * r[0] + a * r[1]])
+
+    r, out = r0.copy(), [r0.copy()]
+    for i in range(steps[-1]):
+        k1 = rhs(2 * i, r)
+        k2 = rhs(2 * i + 1, r + 0.5 * h * k1)
+        k3 = rhs(2 * i + 1, r + 0.5 * h * k2)
+        k4 = rhs(2 * i + 2, r + h * k3)
+        r = r + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if i + 1 in steps:
+            out.append(r.copy())
+    return np.array(out)
+
+
+class TestComposedStepper:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           n_runs=st.integers(1, TREE_RUNS + 2),
+           n=st.one_of(st.integers(1, 40),
+                       st.integers(TREE_STEPS - 3, 2 * TREE_STEPS + 3)),
+           stride=st.integers(1, 5000),
+           scale=st.floats(0.0, 0.02))
+    @example(seed=1, n_runs=1, n=TREE_STEPS + 1, stride=TREE_STEPS,
+             scale=0.02)
+    @example(seed=2, n_runs=TREE_RUNS + 1, n=2 * TREE_STEPS, stride=7,
+             scale=0.02)
+    def test_matches_stagewise_rk4(self, seed, n_runs, n, stride, scale):
+        # random couplings per half-step sample, of rms 0.02/h at most so
+        # that RK4 keeps the norm within about 15%, and random normalised
+        # initial states
+        rng = np.random.default_rng(seed)
+        z0, h = 0.25, 1e-3
+        z11 = scale / h * rng.standard_normal((2 * n + 1, n_runs))
+        z12 = scale / h * rng.standard_normal((2 * n + 1, n_runs))
+        r0 = rng.standard_normal((2, n_runs)) + 1j * rng.standard_normal(
+            (2, n_runs))
+        r0 /= np.linalg.norm(r0, axis=0)
+
+        def table(b):
+            def coefficients(zs):
+                j = np.rint((zs - z0) / (h / 2)).astype(int)
+                return z11[j, b], z12[j, b]
+            return coefficients
+
+        runs = [TwoLevelRun(TwoLevelState(r0[0, b], r0[1, b], z0),
+                            MatrixKind.FULL, n, h, stride, table(b))
+                for b in range(n_runs)]
+        steps = sorted({*range(0, n + 1, stride), n})
+        reference = _rk4_reference(r0, z11, z12, h, steps)
+        for b, traj in enumerate(evolve_batch(runs)):
+            assert np.array_equal(traj.z, z0 + np.array(steps) * h)
+            assert np.max(np.abs(traj.r - reference[:, :, b])) < 1e-12
 
 
 class TestQuasiEnergy:
