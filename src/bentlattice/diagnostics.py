@@ -18,7 +18,8 @@ from .bpm import FieldGrid, OpticsParams, TransverseGrid
 from .drive import CM_PER_UM
 from .errors import DegenerateGapError, ParameterError, ShapeError
 from .tight_binding import (Gauge, LatticeTrajectory, ModeVector,
-                            SuperlatticeParams, gauge_transform)
+                            SuperlatticeParams, gauge_transform,
+                            sublattice_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +123,12 @@ def project_onto_band(fieldgrid: FieldGrid, bands: BandStructure,
 # ---------------------------------------------------------------------------
 
 def _sublattice_spectra(amplitudes, params):
-    """Per-q sublattice amplitudes (s1, s2) from even/odd site transforms."""
-    n = params.n_sites
-    l = params.sites
-    even, odd = amplitudes[0::2], amplitudes[1::2]
-    l_even, l_odd = l[0::2], l[1::2]
-    qa_values = 2 * np.pi * np.arange(n // 2) / n
-    qa_values = np.where(qa_values > np.pi / 2, qa_values - np.pi, qa_values)
-    # unitary transforms: summed |s1|^2 + |s2|^2 equals the site power
-    scale = 1.0 / np.sqrt(n // 2)
-    phase_e = scale * np.exp(-1j * np.outer(qa_values, l_even))
-    phase_o = scale * np.exp(-1j * np.outer(qa_values, l_odd))
-    return qa_values, phase_e @ even, phase_o @ odd
+    """Per-q sublattice amplitudes (s1, s2) of site amplitudes shaped
+    (..., n), in one product with ``sublattice_transform``."""
+    qa_values, transform = sublattice_transform(params)
+    s = amplitudes @ transform.T
+    half = params.n_sites // 2
+    return qa_values, s[..., :half], s[..., half:]
 
 
 def _branch_eigenvectors(qa_values, params: SuperlatticeParams):
@@ -156,14 +151,19 @@ def _branch_eigenvectors(qa_values, params: SuperlatticeParams):
     return pair
 
 
+def _band_amplitudes(amplitudes, params: SuperlatticeParams):
+    """Per-q (r_minus, r_plus) of gauged site amplitudes shaped (..., n)."""
+    qa_values, s1, s2 = _sublattice_spectra(amplitudes, params)
+    vm, vp = _branch_eigenvectors(qa_values, params)
+    return qa_values, vm[0] * s1 + vm[1] * s2, vp[0] * s1 + vp[1] * s2
+
+
 def lattice_band_amplitudes(state: ModeVector, params: SuperlatticeParams):
     """Per-q occupation amplitudes (r_minus, r_plus) of a gauged state."""
     if state.gauge is not Gauge.GAUGED:
         raise ParameterError("lattice projections need gauged amplitudes "
                              "(gauge_transform first)")
-    qa_values, s1, s2 = _sublattice_spectra(state.amplitudes, params)
-    vm, vp = _branch_eigenvectors(qa_values, params)
-    return qa_values, vm[0] * s1 + vm[1] * s2, vp[0] * s1 + vp[1] * s2
+    return _band_amplitudes(state.amplitudes, params)
 
 
 def lattice_transition_probability(source, params: SuperlatticeParams,
@@ -171,21 +171,25 @@ def lattice_transition_probability(source, params: SuperlatticeParams,
                                    q_resolved: bool = False):
     """Upper-branch power fraction of a lattice state or trajectory.
 
-    Bare-gauge input is gauge-transformed first (requires the drive).  With
-    q_resolved the per-momentum fractions P(q) = |r+|^2/(|r-|^2 + |r+|^2)
-    are returned together with the per-momentum weights.
+    Bare-gauge input is gauge-transformed first (requires the drive).  A
+    trajectory gives one fraction per snapshot, all snapshots projected in
+    one product.  With q_resolved a state gives the per-momentum fractions
+    P(q) = |r+|^2/(|r-|^2 + |r+|^2) together with the per-momentum weights.
     """
+    if source.gauge is Gauge.BARE and profile is None:
+        raise ParameterError("bare-gauge input needs the drive profile")
     if isinstance(source, LatticeTrajectory):
-        values = []
-        for i in range(len(source.z)):
-            state = ModeVector(source.states[i], source.gauge, float(source.z[i]))
-            values.append(lattice_transition_probability(
-                state, params, profile, q_resolved=False))
-        return np.array(values)
+        amplitudes = source.states
+        if source.gauge is Gauge.BARE:
+            # gauge_transform of every snapshot: a_l = c_l exp(+i Phi(z) l)
+            phi = drv.phase(profile, source.z)
+            amplitudes = amplitudes * np.exp(1j * phi[:, None] * params.sites)
+        _, r_minus, r_plus = _band_amplitudes(amplitudes, params)
+        pm = np.sum(np.abs(r_minus) ** 2, axis=-1)
+        pp = np.sum(np.abs(r_plus) ** 2, axis=-1)
+        return pp / (pm + pp)
     state = source
     if state.gauge is Gauge.BARE:
-        if profile is None:
-            raise ParameterError("bare-gauge input needs the drive profile")
         state = gauge_transform(state, profile, Gauge.GAUGED)
     qa_values, r_minus, r_plus = lattice_band_amplitudes(state, params)
     pm = np.abs(r_minus) ** 2

@@ -1,10 +1,17 @@
 """The fixed-step rule shared by the propagating tiers, the half-step
-grid of the RK4 steppers, and the RK4 integrator of the lattice tier.
+grid of the RK4 steppers, and the two RK4 steppers.
 
 Deterministic trajectories are a repo-wide requirement, so every
 propagating tier (two-level, tight-binding, spinor, BPM) steps the same
 way: a default target step per drive, a fixed step chosen to divide the
 span exactly, no adaptivity, no randomness.
+
+The composed stepper ``_advance`` moves a batch of 2x2 problems
+i dy/dz = [[-a, b], [b, a]] y by products of closed-form RK4 step maps.
+It serves the two-level tier and every periodic lattice run, where each
+Bloch momentum is its own sublattice pair.  ``rk4_evolve`` steps a state
+vector one step at a time and serves only the hard-wall lattice runs,
+which do not split by momentum.
 """
 
 from __future__ import annotations
@@ -18,6 +25,15 @@ from .errors import ParameterError
 
 # steps per block of drive samples on the half-step grid
 BLOCK_STEPS = 256
+# steps per block of the composed stepper for up to TREE_RUNS columns; a
+# wider batch takes blocks shorter by the power of two that keeps a block's
+# arrays at TREE_STEPS * TREE_RUNS values.  Blocks start at step 0, so every
+# state depends on its step index and the batch width alone, not on the
+# snapshot stride
+TREE_STEPS = 2048
+TREE_RUNS = 8
+# (Re p, Im p, Re s, Im s) of a state's map to (Re y0, Im y0, Re y1, Im y1)
+_STATE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 # step-count ceiling of one run, 1000 times the longest preset's 100k
 # steps: a step grid above it would run for days, so it is an input error
 MAX_STEPS = 10**8
@@ -56,6 +72,13 @@ def snapshot_stride(snapshot_every, n: int) -> int:
     return n if snapshot_every is None else snapshot_every
 
 
+def snapshot_steps(n: int, stride: int) -> np.ndarray:
+    """Step indices of the snapshots of an n-step run: every ``stride``
+    steps from 0, and n."""
+    steps = np.arange(0, n + 1, stride)
+    return steps if steps[-1] == n else np.append(steps, n)
+
+
 def half_step_blocks(z0: float, n: int, h: float, block: int = BLOCK_STEPS):
     """Blocks ``(i0, i1, zs)`` of an n-step grid from z0: steps i0..i1-1
     and their half-step samples ``zs = z0 + arange(2 i0, 2 i1 + 1) h/2``.
@@ -69,9 +92,157 @@ def half_step_blocks(z0: float, n: int, h: float, block: int = BLOCK_STEPS):
         yield i0, i1, z0 + np.arange(2 * i0, 2 * i1 + 1) * (h / 2)
 
 
+def _step_maps(a, b, h):
+    """RK4 step maps R = [[p, s], [-s*, p*]] of the m steps whose half-step
+    samples ``(a, b)`` have 2m + 1 rows, as four real arrays
+    ``(Re p, Im p, Re s, Im s)`` of shape (M, B); rows m..M-1 of the
+    power-of-two M >= m hold the identity map.
+
+    With stage generators A_j = -i h G_j at the step's start, middle and
+    end (j = 0, 1, 2), G_j = [[-a_j, b_j], [b_j, a_j]], one RK4 step is
+    R = 1 + (A0 + 4 A1 + A2)/6 + (A1 A0 + A1^2 + A2 A1)/6
+          + (A1^2 A0 + A2 A1^2)/12 + A2 A1^2 A0/24,
+    and G_i G_j = (a_i a_j + b_i b_j) + (b_i a_j - a_i b_j) J with
+    J = [[0, 1], [-1, 0]], so A1^2 = -h^2 e, e = a_1^2 + b_1^2.
+    """
+    a0, a1, a2 = a[:-2:2], a[1::2], a[2::2]
+    b0, b1, b2 = b[:-2:2], b[1::2], b[2::2]
+    m = len(a1)
+    out = np.zeros((4, 1 << (m - 1).bit_length(), a1.shape[1]))
+    out[0, m:] = 1.0
+    pr, pi, sr, si = out[:, :m]
+    e = a1 * a1
+    e += b1 * b1
+    sa = a0 + a2
+    sb = b0 + b2
+    # Im p = h (a0 + 4 a1 + a2)/6 - h^3 e (a0 + a2)/12, Im s likewise in b
+    w = e * (-h**3 / 12)
+    w += h / 6
+    np.multiply(w, sa, out=pi)
+    pi += (2 * h / 3) * a1
+    np.multiply(w, sb, out=si)
+    si += (2 * h / 3) * b1
+    np.negative(si, out=si)
+    # Re p = 1 - h^2 (a1 (a0 + a2) + b1 (b0 + b2) + e)/6
+    #          + h^4 e (a0 a2 + b0 b2)/24
+    np.multiply(a1, sa, out=pr)
+    pr += b1 * sb
+    pr += e
+    pr *= -h**2 / 6
+    pr += 1.0
+    np.multiply(a0, a2, out=w)
+    w += b0 * b2
+    w *= e
+    pr += (h**4 / 24) * w
+    # Re s = -h^2 (a1 (b2 - b0) + b1 (a0 - a2))/6 + h^4 e (b2 a0 - a2 b0)/24
+    np.subtract(b2, b0, out=sa)
+    np.multiply(a1, sa, out=sr)
+    np.subtract(a0, a2, out=sb)
+    sr += b1 * sb
+    sr *= -h**2 / 6
+    np.multiply(b2, a0, out=w)
+    w -= a2 * b0
+    w *= e
+    sr += (h**4 / 24) * w
+    return out
+
+
+def _compose(x, y):
+    """Product x y of maps [[p, s], [-s*, p*]] held as (Re p, Im p, Re s,
+    Im s): p = p_x p_y - s_x s_y*, s = p_x s_y + s_x p_y*."""
+    xpr, xpi, xsr, xsi = x
+    ypr, ypi, ysr, ysi = y
+    pr = xpr * ypr
+    pr -= xpi * ypi
+    pr -= xsr * ysr
+    pr -= xsi * ysi
+    pi = xpr * ypi
+    pi += xpi * ypr
+    pi -= xsi * ysr
+    pi += xsr * ysi
+    sr = xpr * ysr
+    sr -= xpi * ysi
+    sr += xsr * ypr
+    sr += xsi * ypi
+    si = xpr * ysi
+    si += xpi * ysr
+    si += xsi * ypr
+    si -= xsr * ypi
+    return pr, pi, sr, si
+
+
+def _product(maps):
+    """R_{M-1} ... R_1 R_0 of a power-of-two stack as a balanced tree of
+    pairwise products, each level one vectorised ``_compose``."""
+    while len(maps[0]) > 1:
+        maps = _compose([x[1::2] for x in maps], [x[0::2] for x in maps])
+    return [x[0] for x in maps]
+
+
+def _prefix(maps):
+    """Inclusive prefix products R_k ... R_0 of a power-of-two stack, in
+    place, by doubling.  Its last row repeats ``_product``'s tree operation
+    for operation, so a block with snapshots ends in the same state."""
+    d, size = 1, len(maps[0])
+    while d < size:
+        for x, v in zip(maps, _compose([x[d:] for x in maps],
+                                       [x[:-d] for x in maps])):
+            x[d:] = v
+        d *= 2
+    return maps
+
+
+def _advance(y0, coefficients, z0, n, h, steps, monitor=None):
+    """Step the B states ``y0`` (B, 2) of i dy/dz = [[-a, b], [b, a]] y
+    from z0 over n RK4 steps of h; return their states after ``steps``
+    steps (sorted, 0 and n included), shaped (len(steps), B, 2).
+
+    ``coefficients(zs) -> (a, b)`` gives the generator at a block's
+    half-step samples, each of shape (2m + 1, B); blocks hold
+    ``TREE_STEPS`` steps for up to ``TREE_RUNS`` states and fewer for more.
+    A state (y0, y1) rides as the map with p = y0, s = -y1*, whose first
+    column it is.  The chain moves from block end to block end by the
+    block's balanced product; snapshots inside a block are read off its
+    prefix products, which never feed the chain.  ``monitor(i, y)`` sees
+    the states y (B, 2) after each block's last step i.
+
+    Overflowing generators leave inf and NaN in the maps without numpy
+    warnings; the callers' norm, power and finiteness checks report them.
+    """
+    out = np.empty((len(steps), len(y0), 2), dtype=complex)
+    parts = out.view(float)   # (len(steps), B, 4)
+    state = (np.ascontiguousarray(y0, dtype=complex).view(float)
+             * _STATE_SIGNS).T
+    block = max(1, TREE_STEPS >> ((len(y0) - 1) // TREE_RUNS).bit_length())
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, i1, zs in half_step_blocks(z0, n, h, block):
+            if steps[k] == i0:
+                parts[k] = state.T * _STATE_SIGNS
+                k += 1
+            maps = _step_maps(*coefficients(zs), h)
+            j = np.searchsorted(steps, i1)
+            if j > k:
+                maps = _prefix(maps)
+                inner = _compose([x[steps[k:j] - i0 - 1] for x in maps], state)
+                parts[k:j] = np.moveaxis(inner, 0, -1) * _STATE_SIGNS
+                k = j
+                total = [x[-1] for x in maps]
+            else:
+                total = _product(maps)
+            state = np.array(_compose(total, state))
+            if monitor is not None:
+                y = np.empty_like(out[0])
+                y.view(float)[:] = state.T * _STATE_SIGNS
+                monitor(i1, y)
+    parts[k] = state.T * _STATE_SIGNS
+    return out
+
+
 def rk4_evolve(rhs, samples, y0, z0, z1, dz, snapshot_every=None,
                callback=None):
-    """Integrate dy/dz = rhs(d, y) from z0 to z1 with fixed RK4 steps.
+    """Integrate dy/dz = rhs(d, y) from z0 to z1 with fixed RK4 steps,
+    one step of the whole state vector at a time.
 
     The drive enters only through ``samples(zs)``, the sequence of drive
     values ``d`` at the half-step samples of a block (``half_step_blocks``).

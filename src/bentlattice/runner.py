@@ -117,6 +117,20 @@ def _lattice_input_state(scn: Scenario, params, gauge):
                                     center_site=inp["center_site"], gauge=gauge)
 
 
+class _SizedRows:
+    """CSV rows made one at a time while they are written, with their
+    count for callers that take ``len(rows)``."""
+
+    def __init__(self, count, rows):
+        self._count, self._rows = count, rows
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        return iter(self._rows)
+
+
 def _run_tight_binding(scn: Scenario, out_dir):
     params = scn.lattice_params()
     profile = scn.drive_profile()
@@ -146,13 +160,13 @@ def _run_tight_binding(scn: Scenario, out_dir):
                     run(h).final, params, profile), dz, 1e-6)
     files = {}
     if out_dir is not None:
-        sites = params.sites
+        sites = params.sites.astype(float).tolist()
         name = f"{scn.prefix}_sites.csv"
-        rows = []
-        for i, z in enumerate(traj.z):
-            for j, site in enumerate(sites):
-                c = traj.states[i, j]
-                rows.append((z, float(site), c.real, c.imag))
+        rows = _SizedRows(
+            traj.states.size,
+            ((z, site, c.real, c.imag)
+             for z, states in zip(traj.z.tolist(), traj.states)
+             for site, c in zip(sites, states.tolist())))
         write_csv(os.path.join(out_dir, name), ["z", "site", "re", "im"], rows)
         name2 = f"{scn.prefix}_transition.csv"
         write_csv(os.path.join(out_dir, name2), ["z_cm", "P"],

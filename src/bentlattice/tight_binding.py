@@ -6,6 +6,14 @@ detuning +delta), odd sites sublattice B (-delta).  The bare gauge carries
 the drive as the linear potential F(z) l; the gauged form trades it for
 complex hopping phases exp(-+ i Phi(z)), which stays bounded for strong
 drives and admits periodic boundaries.
+
+The gauged equations are invariant under two-site translation, so on a
+periodic chain each Bloch momentum q evolves as its own sublattice pair
+(s1, s2), the two-level reduction, exact per q.  Periodic runs (gauged
+under any drive, bare on a straight axis, where Phi = 0) therefore step
+the n/2 momenta as one batch on the composed RK4 step maps of
+``integrate._advance``.  Hard-wall runs break the translation symmetry
+and step the site amplitudes with ``integrate.rk4_evolve``.
 """
 
 from __future__ import annotations
@@ -19,7 +27,8 @@ import numpy as np
 from . import drive as drv
 from .drive import CM_PER_UM
 from .errors import AccuracyError, ParameterError
-from .integrate import CHECK_EVERY, default_dz, rk4_evolve
+from .integrate import (CHECK_EVERY, _advance, default_dz, rk4_evolve,
+                        snapshot_steps, snapshot_stride, step_grid)
 
 
 class Gauge(str, Enum):
@@ -212,59 +221,122 @@ def gauge_transform(state: ModeVector, profile: drv.DriveProfile,
     return ModeVector(state.amplitudes * factor, to_gauge, state.z)
 
 
+def sublattice_transform(params: SuperlatticeParams):
+    """Bloch momenta ``qa`` (n/2,) of the periodic chain and the unitary
+    (n, n) matrix taking site amplitudes to sublattice amplitudes: rows
+    0..n/2-1 give s1(qa) from the A sites (even l), rows n/2.. give s2(qa)
+    from the B sites (odd l).  Momenta above pi/2 are folded by -pi."""
+    n = params.n_sites
+    l = params.sites
+    qa = 2 * np.pi * np.arange(n // 2) / n
+    qa = np.where(qa > np.pi / 2, qa - np.pi, qa)
+    transform = np.zeros((n, n), dtype=complex)
+    for rows, on_sublattice in ((slice(None, n // 2), l % 2 == 0),
+                                (slice(n // 2, None), l % 2 != 0)):
+        transform[rows, on_sublattice] = np.exp(
+            -1j * np.outer(qa, l[on_sublattice])) / np.sqrt(n // 2)
+    return qa, transform
+
+
+def _check_drift(power, z, p0, tol, dz):
+    """Raise AccuracyError at the first z whose power (a scalar or one per
+    z) is not within tol of p0, relatively; NaN fails too."""
+    drift = np.atleast_1d(np.abs(power - p0) / p0)
+    bad = ~(drift <= tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise AccuracyError(
+            f"power drifted by {drift[i]:.2e} at z = "
+            f"{np.atleast_1d(z)[i]:.4g} cm; retry with dz = {dz / 2:.3e}")
+
+
+def _evolve_sites(state, params, profile, z_end, dz, snapshot_every,
+                  rhs_factory, power_tol):
+    """Hard-wall run: RK4 on the site amplitudes, power checked every
+    ``CHECK_EVERY`` steps and at the end."""
+    samples, rhs = rhs_factory(params, profile)
+    p0 = state.power
+
+    def monitor(i, z, y):
+        if (i + 1) % CHECK_EVERY == 0:
+            _check_drift(np.sum(np.abs(y) ** 2), z, p0, power_tol, dz)
+
+    zs, ys = rk4_evolve(rhs, samples, state.amplitudes.astype(complex),
+                        state.z, z_end, dz, snapshot_every, callback=monitor)
+    _check_drift(np.sum(np.abs(ys[-1]) ** 2), zs[-1], p0, power_tol, dz)
+    return zs, ys
+
+
+def _evolve_bloch(state, params, profile, z_end, dz, snapshot_every,
+                  power_tol):
+    """Periodic run: the n/2 sublattice pairs under
+    G_q(z) = [[delta, -2 sigma cos(qa - Phi)], [-2 sigma cos(qa - Phi),
+    -delta]], one batch of the composed stepper; power (Parseval) checked
+    at every block end and every snapshot."""
+    n, h = step_grid(z_end - state.z, dz)
+    steps = snapshot_steps(n, snapshot_stride(snapshot_every, n))
+    qa, transform = sublattice_transform(params)
+    half = params.n_sites // 2
+    y0 = (transform @ state.amplitudes.astype(complex)).reshape(2, half).T
+    a = -params.delta_cm
+    two_sigma = 2 * params.sigma_cm
+    p0 = state.power
+
+    def coefficients(zs):
+        b = np.subtract(qa, drv.phase(profile, zs)[:, None])
+        np.cos(b, out=b)
+        b *= -two_sigma
+        # a = -delta is the same at every sample and momentum
+        return np.broadcast_to(a, b.shape), b
+
+    def monitor(i, y):
+        _check_drift(np.sum(np.abs(y) ** 2), state.z + i * h, p0, power_tol,
+                     dz)
+
+    ys = _advance(y0, coefficients, state.z, n, h, steps, monitor)
+    zs = state.z + steps * h
+    _check_drift(np.sum(np.abs(ys) ** 2, axis=(1, 2)), zs, p0, power_tol, dz)
+    # (n_snapshots, q, sublattice) -> rows of (s1..., s2...) -> sites; the
+    # first snapshot is the input itself, not its round trip
+    sites = np.swapaxes(ys, 1, 2).reshape(len(zs), -1) @ transform.conj()
+    sites[0] = state.amplitudes
+    return zs, sites
+
+
 def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary,
             rhs_factory, power_tol):
     if dz is None:
         dz = default_dz(profile)
-    boundary = Boundary(boundary)
-    samples, rhs = rhs_factory(params, profile, boundary)
-    p0 = state.power
-    drift_seen = [0.0]
-
-    def monitor(i, z, y):
-        if (i + 1) % CHECK_EVERY == 0:
-            drift = abs(np.sum(np.abs(y) ** 2) - p0) / p0
-            drift_seen[0] = max(drift_seen[0], drift)
-            if drift > power_tol:
-                raise AccuracyError(
-                    f"power drifted by {drift:.2e} at z = {z:.4g} cm; "
-                    f"retry with dz = {dz / 2:.3e}")
-
-    zs, ys = rk4_evolve(rhs, samples, state.amplitudes.astype(complex),
-                        state.z, z_end, dz, snapshot_every, callback=monitor)
-    drift = abs(np.sum(np.abs(ys[-1]) ** 2) - p0) / p0
-    if drift > power_tol:
-        raise AccuracyError(
-            f"power drifted by {drift:.2e} over the run; "
-            f"retry with dz = {dz / 2:.3e}")
+    if Boundary(boundary) is Boundary.PERIODIC:
+        zs, ys = _evolve_bloch(state, params, profile, z_end, dz,
+                               snapshot_every, power_tol)
+    else:
+        zs, ys = _evolve_sites(state, params, profile, z_end, dz,
+                               snapshot_every, rhs_factory, power_tol)
     return LatticeTrajectory(zs, ys, state.gauge, params)
 
 
-def _neighbors(n, boundary):
+def _neighbors(n):
     """``neighbors(c) -> (up, dn)`` with up_l = c_{l+1}, dn_l = c_{l-1},
-    written into two arrays reused across calls; hard walls leave the
+    written into two arrays reused across calls; the hard walls leave the
     outermost entries at zero."""
     up = np.zeros(n, dtype=complex)
     dn = np.zeros(n, dtype=complex)
-    periodic = boundary is Boundary.PERIODIC
 
     def neighbors(c):
         up[:-1] = c[1:]
         dn[1:] = c[:-1]
-        if periodic:
-            up[-1] = c[0]
-            dn[0] = c[-1]
         return up, dn
 
     return neighbors
 
 
-def _bare_rhs(params, profile, boundary):
+def _bare_rhs(params, profile):
     """Force samples on the half-step grid and ``rhs(force, c)``."""
     sigma = params.sigma_cm
     onsite = params.sublattice_sign * params.delta_cm
     l = params.sites.astype(float)
-    neighbors = _neighbors(params.n_sites, boundary)
+    neighbors = _neighbors(params.n_sites)
 
     def rhs(f, c):
         up, dn = neighbors(c)
@@ -273,12 +345,12 @@ def _bare_rhs(params, profile, boundary):
     return (lambda zs: drv.force(profile, zs).tolist()), rhs
 
 
-def _gauged_rhs(params, profile, boundary):
+def _gauged_rhs(params, profile):
     """Hopping-phase samples exp(-i Phi) on the half-step grid and
     ``rhs(ph, a)``."""
     sigma = params.sigma_cm
     onsite = params.sublattice_sign * params.delta_cm
-    neighbors = _neighbors(params.n_sites, boundary)
+    neighbors = _neighbors(params.n_sites)
 
     def rhs(ph, a):
         up, dn = neighbors(a)

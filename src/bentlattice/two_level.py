@@ -26,19 +26,9 @@ import numpy as np
 
 from . import drive as drv
 from .errors import AccuracyError, DegenerateGapError, ParameterError
-from .integrate import (default_dz, half_step_blocks, snapshot_stride,
-                        step_grid)
+from .integrate import (TREE_RUNS, _advance, default_dz, snapshot_steps,
+                        snapshot_stride, step_grid)
 from .tight_binding import SuperlatticeParams
-
-
-# steps per block of the composed stepper.  Blocks start at step 0 and
-# their length is fixed, so every state depends on its step index alone,
-# not on the batch size or the snapshot stride
-TREE_STEPS = 2048
-# runs advanced together, so a block's arrays hold at most 16k values
-TREE_RUNS = 8
-# (Re p, Im p, Re s, Im s) of a state's map to (Re r-, Im r-, Re r+, Im r+)
-_STATE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 
 
 class MatrixKind(str, Enum):
@@ -289,138 +279,13 @@ def plan_run(state: TwoLevelState, profile: drv.DriveProfile,
     return TwoLevelRun(state, kind, n, h, stride, coefficients)
 
 
-def _step_maps(z11, z12, h):
-    """RK4 step maps R = [[p, s], [-s*, p*]] of the m steps whose half-step
-    samples ``(z11, z12)`` have 2m + 1 rows, as four real arrays
-    ``(Re p, Im p, Re s, Im s)`` of shape (M, B); rows m..M-1 of the
-    power-of-two M >= m hold the identity map.
-
-    With stage generators A_j = -i h G_j at the step's start, middle and
-    end (j = 0, 1, 2), G_j = [[-a_j, b_j], [b_j, a_j]], one RK4 step is
-    R = 1 + (A0 + 4 A1 + A2)/6 + (A1 A0 + A1^2 + A2 A1)/6
-          + (A1^2 A0 + A2 A1^2)/12 + A2 A1^2 A0/24,
-    and G_i G_j = (a_i a_j + b_i b_j) + (b_i a_j - a_i b_j) J with
-    J = [[0, 1], [-1, 0]], so A1^2 = -h^2 e, e = a_1^2 + b_1^2.
-    """
-    a0, a1, a2 = z11[:-2:2], z11[1::2], z11[2::2]
-    b0, b1, b2 = z12[:-2:2], z12[1::2], z12[2::2]
-    m = len(a1)
-    out = np.zeros((4, 1 << (m - 1).bit_length(), a1.shape[1]))
-    out[0, m:] = 1.0
-    pr, pi, sr, si = out[:, :m]
-    e = a1 * a1
-    e += b1 * b1
-    sa = a0 + a2
-    sb = b0 + b2
-    # Im p = h (a0 + 4 a1 + a2)/6 - h^3 e (a0 + a2)/12, Im s likewise in b
-    w = e * (-h**3 / 12)
-    w += h / 6
-    np.multiply(w, sa, out=pi)
-    pi += (2 * h / 3) * a1
-    np.multiply(w, sb, out=si)
-    si += (2 * h / 3) * b1
-    np.negative(si, out=si)
-    # Re p = 1 - h^2 (a1 (a0 + a2) + b1 (b0 + b2) + e)/6
-    #          + h^4 e (a0 a2 + b0 b2)/24
-    np.multiply(a1, sa, out=pr)
-    pr += b1 * sb
-    pr += e
-    pr *= -h**2 / 6
-    pr += 1.0
-    np.multiply(a0, a2, out=w)
-    w += b0 * b2
-    w *= e
-    pr += (h**4 / 24) * w
-    # Re s = -h^2 (a1 (b2 - b0) + b1 (a0 - a2))/6 + h^4 e (b2 a0 - a2 b0)/24
-    np.subtract(b2, b0, out=sa)
-    np.multiply(a1, sa, out=sr)
-    np.subtract(a0, a2, out=sb)
-    sr += b1 * sb
-    sr *= -h**2 / 6
-    np.multiply(b2, a0, out=w)
-    w -= a2 * b0
-    w *= e
-    sr += (h**4 / 24) * w
-    return out
-
-
-def _compose(x, y):
-    """Product x y of maps [[p, s], [-s*, p*]] held as (Re p, Im p, Re s,
-    Im s): p = p_x p_y - s_x s_y*, s = p_x s_y + s_x p_y*."""
-    xpr, xpi, xsr, xsi = x
-    ypr, ypi, ysr, ysi = y
-    pr = xpr * ypr
-    pr -= xpi * ypi
-    pr -= xsr * ysr
-    pr -= xsi * ysi
-    pi = xpr * ypi
-    pi += xpi * ypr
-    pi -= xsi * ysr
-    pi += xsr * ysi
-    sr = xpr * ysr
-    sr -= xpi * ysi
-    sr += xsr * ypr
-    sr += xsi * ypi
-    si = xpr * ysi
-    si += xpi * ysr
-    si += xsi * ypr
-    si -= xsr * ypi
-    return pr, pi, sr, si
-
-
-def _product(maps):
-    """R_{M-1} ... R_1 R_0 of a power-of-two stack as a balanced tree of
-    pairwise products, each level one vectorised ``_compose``."""
-    while len(maps[0]) > 1:
-        maps = _compose([x[1::2] for x in maps], [x[0::2] for x in maps])
-    return [x[0] for x in maps]
-
-
-def _prefix(maps):
-    """Inclusive prefix products R_k ... R_0 of a power-of-two stack, in
-    place, by doubling.  Its last row repeats ``_product``'s tree operation
-    for operation, so a block with snapshots ends in the same state."""
-    d, size = 1, len(maps[0])
-    while d < size:
-        for x, v in zip(maps, _compose([x[d:] for x in maps],
-                                       [x[:-d] for x in maps])):
-            x[d:] = v
-        d *= 2
-    return maps
-
-
-def _advance(runs, z0, n, h, steps, out):
-    """Step ``runs`` from z0 over n steps of h and write their states after
-    ``steps`` steps (sorted, 0 and n included) into ``out``, shaped
-    (len(steps), len(runs), 4) as (Re r-, Im r-, Re r+, Im r+).
-
-    A state (r-, r+) rides as the map with p = r-, s = -r+*, whose first
-    column it is.  The chain moves from block end to block end by the
-    block's balanced product; snapshots inside a block are read off its
-    prefix products, which never feed the chain.
-    """
-    state = np.array([[r.state.r_minus.real, r.state.r_minus.imag,
-                       -r.state.r_plus.real, r.state.r_plus.imag]
-                      for r in runs]).T
-    k = 0
-    for i0, i1, zs in half_step_blocks(z0, n, h, TREE_STEPS):
-        if steps[k] == i0:
-            out[k] = state.T * _STATE_SIGNS
-            k += 1
-        cols = [r.coefficients(zs) for r in runs]
-        maps = _step_maps(np.stack([c[0] for c in cols], axis=1),
-                          np.stack([c[1] for c in cols], axis=1), h)
-        j = np.searchsorted(steps, i1)
-        if j > k:
-            maps = _prefix(maps)
-            inner = _compose([x[steps[k:j] - i0 - 1] for x in maps], state)
-            out[k:j] = np.moveaxis(inner, 0, -1) * _STATE_SIGNS
-            k = j
-            total = [x[-1] for x in maps]
-        else:
-            total = _product(maps)
-        state = np.array(_compose(total, state))
-    out[k] = state.T * _STATE_SIGNS
+def _stacked_coefficients(runs):
+    """``coefficients(zs)`` of the runs side by side, one column each."""
+    def coefficients(zs):
+        cols = [run.coefficients(zs) for run in runs]
+        return (np.stack([c[0] for c in cols], axis=1),
+                np.stack([c[1] for c in cols], axis=1))
+    return coefficients
 
 
 def evolve_batch(runs) -> list:
@@ -432,14 +297,16 @@ def evolve_batch(runs) -> list:
     if any((r.state.z, r.n, r.h, r.stride) != grid for r in runs):
         raise ParameterError(
             "batched runs must share start z, step grid and snapshot stride")
-    steps = np.arange(0, n + 1, stride)
-    if steps[-1] != n:
-        steps = np.append(steps, n)
+    steps = snapshot_steps(n, stride)
     # (n_snapshots, B, 2), columns (r_minus, r_plus)
     r = np.empty((len(steps), len(runs), 2), dtype=complex)
+    # TREE_RUNS runs at a time keep the full-length blocks, so every run
+    # gets the same blocks as a single run
     for c in range(0, len(runs), TREE_RUNS):
-        _advance(runs[c:c + TREE_RUNS], z0, n, h, steps,
-                 r[:, c:c + TREE_RUNS].view(float))
+        chunk = runs[c:c + TREE_RUNS]
+        r[:, c:c + TREE_RUNS] = _advance(
+            [(run.state.r_minus, run.state.r_plus) for run in chunk],
+            _stacked_coefficients(chunk), z0, n, h, steps)
     z = z0 + steps * h
     return [TwoLevelTrajectory(z.copy(), r[:, b].copy(), float(run.state.q),
                                run.matrix_kind)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,27 @@ class TestCli:
         _, rows = read_csv(tmp_path / "fig3_sweep.csv")
         assert len(rows) == 161
         assert {row[5] for row in rows} == {"error:AccuracyError"}
+
+    def test_overflowing_steppers_raise_no_numpy_warnings(self, tmp_path,
+                                                          capsys):
+        # the composed stepper keeps inf and NaN quiet; the typed checks
+        # report them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = cli_main(["sweep", "--preset", "fig3", "--set",
+                              "lattice.delta_cm=1e150",
+                              "--out", str(tmp_path / "sweep")])
+            run = cli_main(["run", "--preset", "fig2a", "--set",
+                            "scenario.tier=tight_binding", "--set",
+                            "lattice.delta_cm=1e150",
+                            "--out", str(tmp_path / "run")])
+        assert sweep == 3
+        _, rows = read_csv(tmp_path / "sweep" / "fig3_sweep.csv")
+        assert [row[5] for row in rows] == ["error:AccuracyError"] * 161
+        assert run == 3
+        err = capsys.readouterr().err
+        assert "power drifted by nan" in err and "retry with dz" in err
+        assert "Warning" not in err
 
     def test_spot_below_grid_spacing_exit_code(self, tmp_path, capsys):
         argv = ["run", "--preset", "fig5b", "--set", "input.w0_um=1e-300",

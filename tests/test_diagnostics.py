@@ -143,6 +143,36 @@ class TestLatticeProjection:
             assert abs(r_minus[i] - (vm[0] * s1[i] + vm[1] * s2[i])) < 1e-14
             assert abs(r_plus[i] - (vp[0] * s1[i] + vp[1] * s2[i])) < 1e-14
 
+    @pytest.mark.parametrize("n_sites", [6, 10, 64])
+    def test_pure_branch_starts_dark_on_either_chain_parity(self, n_sites):
+        # for n % 4 == 2 the chain starts on an odd (B) site, which the
+        # transform must still put in s2
+        small = SuperlatticeParams(2.0, 1.817, n_sites=n_sites)
+        for branch, p in ((Branch.MINUS, 0.0), (Branch.PLUS, 1.0)):
+            state = bloch_mode_state(small.q_from_qa(2 * np.pi / n_sites),
+                                     branch, small)
+            assert lattice_transition_probability(state, small) == (
+                pytest.approx(p, abs=1e-12))
+
+    @pytest.mark.parametrize("gauge", [Gauge.GAUGED, Gauge.BARE])
+    def test_trajectory_equals_per_snapshot_loop(self, params, gauge):
+        from bentlattice.tight_binding import (Boundary, evolve_bare,
+                                               evolve_gauged,
+                                               gaussian_packet_state)
+        drive = DriveProfile.from_phase_amplitude("sinusoidal", 0.4, 2.8556)
+        state = gaussian_packet_state(params.q_from_qa(np.pi / 4), 6.0,
+                                      params, gauge=gauge)
+        evolver = evolve_bare if gauge is Gauge.BARE else evolve_gauged
+        traj = evolver(state, params, drive, 1.0, dz=2.8556 / 4000,
+                       snapshot_every=100, boundary=Boundary.HARD_WALL)
+        batched = lattice_transition_probability(traj, params, drive)
+        looped = [lattice_transition_probability(
+            ModeVector(traj.states[i], gauge, float(traj.z[i])), params,
+            drive) for i in range(len(traj.z))]
+        assert batched.shape == (len(traj.z),)
+        assert np.max(np.abs(batched - looped)) < 1e-14
+        assert np.max(batched) > 1e-3  # the drive moved power upwards
+
     def test_band_amplitudes_reject_closed_gap(self):
         from bentlattice.diagnostics import lattice_band_amplitudes
         gapless = SuperlatticeParams(2.0, 0.0, n_sites=64)

@@ -98,17 +98,29 @@ def test_source_holds_one_step_rule_and_one_unit_constant():
 
 
 def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
-    # one composed stepper serves single two-level runs and batches: RK4
-    # step maps in closed form, one block loop, no loop over single steps
+    # one composed stepper serves two-level runs, batches and periodic
+    # lattice runs: RK4 step maps in closed form, one block loop, no loop
+    # over single steps
     assert len(re.findall(r"^def _step_maps\(", _source_text(), re.M)) == 1
+    tree = ast.parse((SRC / "integrate.py").read_text(encoding="utf-8"))
+    kernel, = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_advance"]
+    loops = [ast.unparse(node.iter) for node in ast.walk(kernel)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert sum("half_step_blocks(" in it for it in loops) == 1
+    assert [it for it in loops if it.startswith("range(")] == []
+    # the tiers step through the kernel, not through block loops of their own
+    for module in ("two_level.py", "tight_binding.py"):
+        text = (SRC / module).read_text(encoding="utf-8")
+        assert "_advance(" in text and "half_step_blocks(" not in text
     tree = ast.parse((SRC / "two_level.py").read_text(encoding="utf-8"))
     loops = [ast.unparse(node.iter) for node in ast.walk(tree)
              if isinstance(node, (ast.For, ast.comprehension))]
-    assert sum("half_step_blocks(" in it for it in loops) == 1
     assert [it for it in loops if it.startswith("range(")] == [
         "range(0, len(runs), TREE_RUNS)"]
-    # the lattice right-hand sides read drive samples taken once on the
-    # half-step grid and fill preallocated neighbours
+    # the hard-wall lattice right-hand sides read drive samples taken once
+    # on the half-step grid and fill preallocated neighbours
     text = (SRC / "tight_binding.py").read_text(encoding="utf-8")
     rhs = [ast.unparse(node) for node in ast.walk(ast.parse(text))
            if isinstance(node, ast.FunctionDef) and node.name == "rhs"]

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bentlattice import (AccuracyError, Branch, DriveProfile, Gauge,
                          ParameterError, SuperlatticeParams)
 from bentlattice import drive as drv
-from bentlattice.tight_binding import (Boundary, bloch_eigenvector,
-                                       bloch_mode_state, dispersion,
-                                       evolve_bare, evolve_gauged,
+from bentlattice.tight_binding import (Boundary, ModeVector,
+                                       bloch_eigenvector, bloch_mode_state,
+                                       dispersion, evolve_bare, evolve_gauged,
                                        gauge_transform, gaussian_packet_state,
                                        group_velocity)
 from bentlattice.two_level import evolve as tl_evolve
@@ -143,6 +145,48 @@ class TestHalfStepSamples:
         ref = per_stage_reference(state, params, drive, 0.7, 5e-4, boundary)
         assert len(traj.z) == 2
         assert np.max(np.abs(traj.final.amplitudes - ref)) < 1e-13
+
+
+class TestBlochPath:
+    # periodic runs step each Bloch momentum on the composed two-level maps;
+    # the site-space reference steps the whole chain with np.roll
+    @settings(max_examples=12, deadline=None)
+    @given(n_sites=st.sampled_from(range(4, 33, 2)),
+           delta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+           kind=st.sampled_from(["sinusoidal", "single_cycle"]),
+           phi0=st.floats(0.0, 6.0),
+           n_steps=st.one_of(st.integers(1, 40), st.integers(2040, 2060)),
+           stride=st.integers(1, 3000),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_sites=6, delta=1.817, kind="single_cycle", phi0=6.0,
+             n_steps=2049, stride=2048, seed=1)
+    @example(n_sites=8, delta=0.0, kind="sinusoidal", phi0=3.0,
+             n_steps=2048, stride=5, seed=3)
+    @example(n_sites=32, delta=1.817, kind="sinusoidal", phi0=1.0,
+             n_steps=2050, stride=7, seed=2)
+    def test_matches_per_stage_reference(self, n_sites, delta, kind, phi0,
+                                         n_steps, stride, seed):
+        params = SuperlatticeParams(2.0, delta, n_sites=n_sites)
+        drive = DriveProfile.from_phase_amplitude(kind, phi0, 0.6676)
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(n_sites) + 1j * rng.standard_normal(n_sites)
+        state = ModeVector(amps / np.linalg.norm(amps), Gauge.GAUGED, 0.0)
+        dz = 0.6676 / 2000
+        z_end = n_steps * dz
+        traj = evolve_gauged(state, params, drive, z_end, dz=dz,
+                             snapshot_every=stride,
+                             boundary=Boundary.PERIODIC)
+        steps = sorted({*range(0, n_steps + 1, stride), n_steps})
+        assert np.array_equal(traj.z, np.array(steps) * (z_end / n_steps))
+        assert np.array_equal(traj.states[0], state.amplitudes)
+        ref = per_stage_reference(state, params, drive, z_end, dz,
+                                  Boundary.PERIODIC)
+        assert np.max(np.abs(traj.final.amplitudes - ref)) < 1e-12
+        # the first snapshot inside the run, against the reference run to it
+        if len(steps) > 2:
+            ref = per_stage_reference(state, params, drive, traj.z[1],
+                                      traj.z[1] / steps[1], Boundary.PERIODIC)
+            assert np.max(np.abs(traj.states[1] - ref)) < 1e-12
 
 
 class TestUnitarity:

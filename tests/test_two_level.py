@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from bentlattice import (AccuracyError, Branch, DegenerateGapError,
                          DomainError, DriveProfile, ParameterError,
                          SuperlatticeParams)
+from bentlattice.integrate import TREE_STEPS
 from bentlattice.tight_binding import bloch_eigenvector, dispersion
-from bentlattice.two_level import (TREE_RUNS, TREE_STEPS, DiracUnitsMap,
+from bentlattice.two_level import (TREE_RUNS, DiracUnitsMap,
                                    MatrixKind, PhysicalConstants,
                                    TwoLevelRun, TwoLevelState,
                                    coupling_matrix_dirac, coupling_matrix_full,
