@@ -230,11 +230,11 @@ def sublattice_transform(params: SuperlatticeParams):
     l = params.sites
     qa = 2 * np.pi * np.arange(n // 2) / n
     qa = np.where(qa > np.pi / 2, qa - np.pi, qa)
+    on_a, on_b = l % 2 == 0, l % 2 != 0
+    scale = 1.0 / np.sqrt(n // 2)
     transform = np.zeros((n, n), dtype=complex)
-    for rows, on_sublattice in ((slice(None, n // 2), l % 2 == 0),
-                                (slice(n // 2, None), l % 2 != 0)):
-        transform[rows, on_sublattice] = np.exp(
-            -1j * np.outer(qa, l[on_sublattice])) / np.sqrt(n // 2)
+    transform[:n // 2, on_a] = scale * np.exp(-1j * np.outer(qa, l[on_a]))
+    transform[n // 2:, on_b] = scale * np.exp(-1j * np.outer(qa, l[on_b]))
     return qa, transform
 
 
@@ -276,8 +276,7 @@ def _evolve_bloch(state, params, profile, z_end, dz, snapshot_every,
     n, h = step_grid(z_end - state.z, dz)
     steps = snapshot_steps(n, snapshot_stride(snapshot_every, n))
     qa, transform = sublattice_transform(params)
-    half = params.n_sites // 2
-    y0 = (transform @ state.amplitudes.astype(complex)).reshape(2, half).T
+    y0 = (transform @ state.amplitudes.astype(complex)).reshape(2, -1).T
     a = -params.delta_cm
     two_sigma = 2 * params.sigma_cm
     p0 = state.power
