@@ -20,7 +20,8 @@ import scipy.fft as sfft
 
 from . import drive as drv
 from .drive import CM_PER_UM
-from .errors import DomainError, GeometryError, ParameterError, ShapeError
+from .errors import (DomainError, GeometryError, ParameterError, ShapeError,
+                     require_positive)
 from .integrate import snapshot_stride, step_grid
 
 # fixed target step of the beam propagation, independent of the drive
@@ -52,12 +53,11 @@ class OpticsParams:
     sg_order: int = 4
 
     def __post_init__(self):
-        if self.wavelength_cm <= 0:
-            raise ParameterError("wavelength must be positive")
+        require_positive(wavelength_cm=self.wavelength_cm, n_s=self.n_s,
+                         spacing_um=self.spacing_um,
+                         channel_width_um=self.channel_width_um)
         if not (self.dn1 >= self.dn2 > 0):
             raise ParameterError("index changes must satisfy dn1 >= dn2 > 0")
-        if self.channel_width_um <= 0:
-            raise ParameterError("channel width must be positive")
         if self.sg_order < 2 or self.sg_order % 2 != 0:
             raise ParameterError("super-Gaussian order must be even and >= 2")
 

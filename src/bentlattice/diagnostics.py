@@ -174,11 +174,16 @@ def lattice_transition_probability(source, params: SuperlatticeParams,
     Bare-gauge input is gauge-transformed first (requires the drive).  A
     trajectory gives one fraction per snapshot, all snapshots projected in
     one product.  With q_resolved a state gives the per-momentum fractions
-    P(q) = |r+|^2/(|r-|^2 + |r+|^2) together with the per-momentum weights.
+    P(q) = |r+|^2/(|r-|^2 + |r+|^2) together with the per-momentum weights;
+    a trajectory with q_resolved is rejected.
     """
     if source.gauge is Gauge.BARE and profile is None:
         raise ParameterError("bare-gauge input needs the drive profile")
     if isinstance(source, LatticeTrajectory):
+        if q_resolved:
+            raise ParameterError(
+                "q_resolved needs a single state; pass one snapshot of the "
+                "trajectory")
         amplitudes = source.states
         if source.gauge is Gauge.BARE:
             # gauge_transform of every snapshot: a_l = c_l exp(+i Phi(z) l)

@@ -9,13 +9,14 @@ converted internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, require_positive
 
 CM_PER_UM = 1.0e-4
 
@@ -50,15 +51,11 @@ class DriveProfile:
     _spline: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.wavelength_cm <= 0:
-            raise ParameterError("wavelength must be positive")
-        if self.spacing_um <= 0:
-            raise ParameterError("waveguide spacing must be positive")
-        if self.kind in (DriveKind.SINUSOIDAL, DriveKind.SINGLE_CYCLE):
-            if self.period_cm <= 0:
-                raise ParameterError("bending period must be positive")
-            if self.amplitude_um < 0:
-                raise ParameterError("bending amplitude must be non-negative")
+        require_positive(wavelength_cm=self.wavelength_cm, n_s=self.n_s,
+                         spacing_um=self.spacing_um, period_cm=self.period_cm)
+        if not 0 <= self.amplitude_um < math.inf:
+            raise ParameterError("amplitude_um must be non-negative and "
+                                 f"finite, got {self.amplitude_um!r}")
         if self.kind is DriveKind.TABULATED:
             if self.table_z_cm is None or self.table_phi is None:
                 raise ParameterError("tabulated profile needs (z, Phi) samples")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all bentlattice modules."""
+"""Exception hierarchy shared by all bentlattice modules, and the
+positive-and-finite argument check that raises its ParameterError."""
+
+import math
 
 
 class BentLatticeError(Exception):
@@ -44,3 +47,12 @@ class ConfigError(BentLatticeError):
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)
+
+
+def require_positive(**values):
+    """Raise ParameterError unless every keyword value is positive and finite
+    (NaN and inf included)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ParameterError(
+                f"{name} must be positive and finite, got {value!r}")

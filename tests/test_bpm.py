@@ -54,6 +54,15 @@ class TestIndexProfile:
             build_index_profile(optics, 21, grid)
 
 
+class TestOpticsParams:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["wavelength_cm", "n_s",
+                                      "channel_width_um", "spacing_um"])
+    def test_bad_geometry_rejected(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            OpticsParams(**{name: value})
+
+
 class TestBraggAngle:
     def test_reference_value(self, optics):
         theta = bragg_angle(optics)

@@ -101,6 +101,9 @@ class TestPresets:
             scn = scenario_from_text(preset_text(name))
             assert scn.tier in ("two_level", "tight_binding", "dirac", "bpm",
                                 "bands", "sweep")
+            # the geometry guards of the parameter classes accept every preset
+            scn.drive_profile()
+            scn.optics_params()
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ConfigError):

@@ -173,6 +173,20 @@ class TestLatticeProjection:
         assert np.max(np.abs(batched - looped)) < 1e-14
         assert np.max(batched) > 1e-3  # the drive moved power upwards
 
+    def test_q_resolved_trajectory_rejected(self, params, single_cycle_b):
+        from bentlattice.tight_binding import evolve_gauged
+        state = bloch_mode_state(params.q_from_qa(np.pi / 4), Branch.MINUS,
+                                 params)
+        traj = evolve_gauged(state, params, single_cycle_b, 0.1,
+                             snapshot_every=50)
+        with pytest.raises(ParameterError, match="q_resolved"):
+            lattice_transition_probability(traj, params, q_resolved=True)
+        # a single snapshot still resolves in q
+        final = ModeVector(traj.states[-1], Gauge.GAUGED, float(traj.z[-1]))
+        qa, pq, weights = lattice_transition_probability(final, params,
+                                                         q_resolved=True)
+        assert qa.shape == pq.shape == weights.shape == (params.n_sites // 2,)
+
     def test_band_amplitudes_reject_closed_gap(self):
         from bentlattice.diagnostics import lattice_band_amplitudes
         gapless = SuperlatticeParams(2.0, 0.0, n_sites=64)

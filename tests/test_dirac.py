@@ -1,16 +1,21 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bentlattice import (Branch, DomainError, DriveProfile, Gauge,
                          ParameterError, ShapeError, SuperlatticeParams)
+from bentlattice import dirac, drive as drv
 from bentlattice.dirac import (SpinorField, XiGrid, band_weights, branch_spinor,
                                dirac_evolve, free_dispersion,
                                gaussian_spinor_packet, lattice_from_spinor,
                                spinor_from_lattice)
 from bentlattice.diagnostics import (lattice_transition_probability,
                                      packet_census)
+from bentlattice.integrate import (CHECK_EVERY, default_dz, snapshot_stride,
+                                   step_grid)
 from bentlattice.tight_binding import (bloch_mode_state, dispersion,
                                        evolve_gauged, gaussian_packet_state)
 from bentlattice.two_level import (MatrixKind, transition_probability,
@@ -140,6 +145,102 @@ class TestPackets:
                          dz=1e-2)
         z_flagged = float(re.search(r"z = (\S+) cm", str(info.value))[1])
         assert z_flagged < 15.0
+
+
+def _reference_evolve(field, profile, params, z_end, dz=None,
+                      snapshot_every=None, edge_tol=1e-8):
+    """The real-space Strang loop: four FFTs and a fresh cos/sin per step,
+    with the edge checks and snapshots of ``dirac_evolve``."""
+    if dz is None:
+        dz = default_dz(profile)
+    n_steps, h = step_grid(z_end - field.z, dz)
+    snapshot_every = snapshot_stride(snapshot_every, n_steps)
+    k = field.grid.k
+    sigma, delta = params.sigma_cm, params.delta_cm
+    em = np.exp(-1j * delta * h / 2.0)
+    ep = np.conj(em)
+    p1 = field.psi1.astype(complex)
+    p2 = field.psi2.astype(complex)
+    zs, s1, s2 = [field.z], [p1.copy()], [p2.copy()]
+    z_start = field.z + np.arange(n_steps) * h
+    phi_ints = drv.phase_integral(profile, z_start, z_start + h)
+    for i in range(n_steps):
+        p1, p2 = p1 * em, p2 * ep
+        chi = sigma * (k * h - 2.0 * phi_ints[i])
+        c, s = np.cos(chi), np.sin(chi)
+        f1, f2 = np.fft.fft(p1), np.fft.fft(p2)
+        p1 = np.fft.ifft(c * f1 - 1j * s * f2) * em
+        p2 = np.fft.ifft(c * f2 - 1j * s * f1) * ep
+        z = field.z + (i + 1) * h
+        snapshot = (i + 1) % snapshot_every == 0 or i == n_steps - 1
+        if snapshot or (i + 1) % CHECK_EVERY == 0:
+            now = SpinorField(p1, p2, field.grid, z)
+            if dirac._edge_density_fraction(now) > edge_tol:
+                raise DomainError(
+                    f"packet support reached the grid edge at z = {z:.4g} cm")
+        if snapshot:
+            zs.append(z)
+            s1.append(p1.copy())
+            s2.append(p2.copy())
+    return np.array(zs), np.array(s1), np.array(s2)
+
+
+class TestMomentumSpaceStepper:
+    """``dirac_evolve`` steps in k and must reproduce the real-space loop."""
+
+    @pytest.mark.parametrize("kind", ["single_cycle", "sinusoidal"])
+    @pytest.mark.parametrize("snapshot_every", [1, 7, None])
+    @pytest.mark.parametrize("n_steps", [1, CHECK_EVERY - 1, CHECK_EVERY,
+                                         CHECK_EVERY + 1, 2 * CHECK_EVERY + 37])
+    def test_matches_real_space_loop(self, params, kind, snapshot_every,
+                                     n_steps):
+        lam = 0.6676
+        drive = DriveProfile.from_phase_amplitude(kind, 6.0, lam)
+        field = gaussian_spinor_packet(XiGrid.centered(128.0, 256),
+                                       -np.pi / 2 + 0.3, 8.0, params,
+                                       center_xi=5.0)
+        field.z = 0.05
+        z_end = field.z + n_steps * lam / 500
+        traj = dirac_evolve(field, drive, params, z_end, dz=lam / 500,
+                            snapshot_every=snapshot_every)
+        zs, s1, s2 = _reference_evolve(field, drive, params, z_end,
+                                       dz=lam / 500,
+                                       snapshot_every=snapshot_every)
+        assert traj.psi1.shape == s1.shape
+        np.testing.assert_array_equal(traj.z, zs)
+        assert np.max(np.abs(traj.psi1 - s1)) < 1e-12
+        assert np.max(np.abs(traj.psi2 - s2)) < 1e-12
+
+    def test_wrap_raises_at_the_reference_step(self, params):
+        grid = XiGrid.centered(128.0, 512)
+        field = gaussian_spinor_packet(grid, -np.pi / 2, 8.0, params,
+                                       center_xi=30.0)
+        messages = []
+        for evolve in (dirac_evolve, _reference_evolve):
+            with pytest.raises(DomainError) as info:
+                evolve(field, DriveProfile.straight(), params, z_end=39.3,
+                       dz=1e-2)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_step_loop_transforms_only_on_check_steps(self):
+        # every FFT inside the step loops sits under the edge-check branch
+        text = Path(dirac.__file__).read_text(encoding="utf-8")
+        fn, = [node for node in ast.walk(ast.parse(text))
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "dirac_evolve"]
+        loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
+        assert [ast.unparse(node.iter) for node in loops] == [
+            "range(0, n_steps, CHECK_EVERY)", "range(start, stop)"]
+        checks = [node for node in ast.walk(loops[0])
+                  if isinstance(node, ast.If) and ast.unparse(node.test)
+                  == "snapshot or (i + 1) % CHECK_EVERY == 0"]
+        assert len(checks) == 1
+        guarded = {id(node) for node in ast.walk(checks[0])}
+        ffts = [node for node in ast.walk(loops[0])
+                if isinstance(node, ast.Call)
+                and "fft" in ast.unparse(node.func)]
+        assert len(ffts) == 1 and id(ffts[0]) in guarded
 
 
 class TestLatticeMap:

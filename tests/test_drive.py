@@ -57,6 +57,24 @@ class TestPhaseAmplitude:
         with pytest.raises(ParameterError):
             DriveProfile.sinusoidal(30.0, 0.67, n_s=1.42, wavelength_cm=-1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["period_cm", "amplitude_um",
+                                      "wavelength_cm", "spacing_um", "n_s"])
+    def test_non_finite_geometry_rejected(self, name, value):
+        args = dict(amplitude_um=30.0, period_cm=0.67, **STANDARD_GEOMETRY)
+        args[name] = value
+        for kind in (DriveKind.SINUSOIDAL, DriveKind.SINGLE_CYCLE):
+            with pytest.raises(ParameterError, match=name):
+                DriveProfile(kind, **args)
+
+    @pytest.mark.parametrize("n_s", [-1.0, 0.0])
+    def test_non_positive_index_rejected(self, n_s):
+        geometry = dict(STANDARD_GEOMETRY, n_s=n_s)
+        with pytest.raises(ParameterError, match="n_s"):
+            DriveProfile.sinusoidal(30.0, 0.67, **geometry)
+        with pytest.raises(ParameterError, match="n_s"):
+            DriveProfile.straight(**geometry)
+
 
 class TestPhase:
     def test_sinusoid_starts_at_zero(self):
