@@ -16,10 +16,11 @@ from . import drive as drv
 from .bands import BandStructure, grid_q_values, plane_wave_bands
 from .bpm import FieldGrid, OpticsParams, TransverseGrid
 from .drive import CM_PER_UM
-from .errors import DegenerateGapError, ParameterError, ShapeError
-from .tight_binding import (Gauge, LatticeTrajectory, ModeVector,
-                            SuperlatticeParams, gauge_transform,
-                            sublattice_transform)
+from .errors import ParameterError, ShapeError
+from .tight_binding import (Branch, Gauge, LatticeTrajectory, ModeVector,
+                            SuperlatticeParams, _branch_vector,
+                            gauge_transform, sublattice_transform,
+                            to_sublattice_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -122,39 +123,12 @@ def project_onto_band(fieldgrid: FieldGrid, bands: BandStructure,
 # lattice projections
 # ---------------------------------------------------------------------------
 
-def _sublattice_spectra(amplitudes, params):
-    """Per-q sublattice amplitudes (s1, s2) of site amplitudes shaped
-    (..., n), in one product with ``sublattice_transform``."""
-    qa_values, transform = sublattice_transform(params)
-    s = amplitudes @ transform.T
-    half = params.n_sites // 2
-    return qa_values, s[..., :half], s[..., half:]
-
-
-def _branch_eigenvectors(qa_values, params: SuperlatticeParams):
-    """``bloch_eigenvector`` of both branches at every qa at once: two
-    (2, n) arrays of (s1, s2) rows, lower branch first, with its gap-edge
-    convention at qa = pi/2 and its error when the gap is closed there."""
-    sigma, delta = params.sigma_cm, params.delta_cm
-    c = np.cos(qa_values)
-    w = np.sqrt(delta**2 + 4 * sigma**2 * c**2)
-    edge = np.abs(c) < 1e-14
-    if delta == 0.0 and edge.any():
-        raise DegenerateGapError("delta = 0 at the zone edge: gap closed")
-    pair = []
-    for wb, fixed in ((-w, (0.0, 1.0)), (w, (1.0, 0.0))):
-        norm = np.sqrt(2 * w * np.abs(wb - delta))
-        v = np.array([-2 * sigma * c, wb - delta])
-        np.divide(v, norm, out=v, where=~edge)
-        v[:, edge] = np.array(fixed)[:, None]
-        pair.append(v)
-    return pair
-
-
 def _band_amplitudes(amplitudes, params: SuperlatticeParams):
     """Per-q (r_minus, r_plus) of gauged site amplitudes shaped (..., n)."""
-    qa_values, s1, s2 = _sublattice_spectra(amplitudes, params)
-    vm, vp = _branch_eigenvectors(qa_values, params)
+    qa_values, transform = sublattice_transform(params)
+    s1, s2 = np.moveaxis(to_sublattice_pairs(amplitudes, transform), -1, 0)
+    vm = _branch_vector(qa_values, Branch.MINUS, params)
+    vp = _branch_vector(qa_values, Branch.PLUS, params)
     return qa_values, vm[0] * s1 + vm[1] * s2, vp[0] * s1 + vp[1] * s2
 
 

@@ -441,18 +441,18 @@ def _run_sweep(scn: Scenario, out_dir, jobs=1):
 
     rows = []
     n_failed = 0
+    section, key = axis.split(".", 1)
     for (_, summary, status), value in zip(results, values):
-        point_drive = dict(scn.resolved["drive"])
-        if axis.startswith("drive."):
-            point_drive[axis.split(".", 1)[1]] = value
+        point = {sec: dict(scn.section(sec)) for sec in ("drive", "input")}
+        point.setdefault(section, {})[key] = value
         phi0 = summary.get("phi0") if summary else float("nan")
         p_final = summary.get("P_final", summary.get("plus_weight_final",
                   summary.get("band2_final"))) if summary else float("nan")
         if summary is None:
             n_failed += 1
         rows.append((phi0 if phi0 is not None else float("nan"),
-                     point_drive.get("period_cm", float("nan")),
-                     scn.section("input")["qa_over_pi"] * np.pi,
+                     point["drive"].get("period_cm", float("nan")),
+                     point["input"]["qa_over_pi"] * np.pi,
                      float(sweep_cfg["n_target"]),
                      p_final if p_final is not None else float("nan"),
                      status or "ok"))

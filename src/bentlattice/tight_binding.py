@@ -26,7 +26,7 @@ import numpy as np
 
 from . import drive as drv
 from .drive import CM_PER_UM
-from .errors import AccuracyError, ParameterError
+from .errors import AccuracyError, DegenerateGapError, ParameterError
 from .integrate import (CHECK_EVERY, _advance, default_dz, rk4_evolve,
                         snapshot_steps, snapshot_stride, step_grid)
 
@@ -89,7 +89,7 @@ class SuperlatticeParams:
     @property
     def sublattice_sign(self):
         """(-1)^l per site: +1 on sublattice A (even l), -1 on B."""
-        return np.where(self.sites % 2 == 0, 1.0, -1.0)
+        return _on_sublattices((1.0, -1.0), self)
 
     def q_from_qa(self, qa):
         """Wavenumber in rad/cm for a given dimensionless qa."""
@@ -134,49 +134,61 @@ class LatticeTrajectory:
         return float(np.max(edges.sum(axis=1) / self.power()))
 
 
+def _splitting(qa, params: SuperlatticeParams):
+    """w(qa) = sqrt(delta^2 + 4 sigma^2 cos^2 qa) = omega_plus, in 1/cm."""
+    return np.sqrt(params.delta_cm**2 + 4 * params.sigma_cm**2 * np.cos(qa) ** 2)
+
+
 def dispersion(q, params: SuperlatticeParams):
     """Miniband pair (omega_minus, omega_plus) at wavenumber q (rad/cm)."""
-    qa = np.asarray(q) * params.spacing_cm
-    w = np.sqrt(params.delta_cm**2 + 4 * params.sigma_cm**2 * np.cos(qa) ** 2)
+    w = _splitting(np.asarray(q) * params.spacing_cm, params)
     return -w, w
 
 
 def group_velocity(q, params: SuperlatticeParams, branch: Branch):
     """d omega/d q of one branch, in cm of transverse drift per cm of z."""
     qa = np.asarray(q) * params.spacing_cm
-    w = np.sqrt(params.delta_cm**2 + 4 * params.sigma_cm**2 * np.cos(qa) ** 2)
-    dw_dqa = -2 * params.sigma_cm**2 * np.sin(2 * qa) / w
+    dw_dqa = -2 * params.sigma_cm**2 * np.sin(2 * qa) / _splitting(qa, params)
     sign = 1.0 if branch is Branch.PLUS else -1.0
     return sign * dw_dqa * params.spacing_cm
 
 
 def bloch_eigenvector(q, branch: Branch, params: SuperlatticeParams) -> np.ndarray:
-    """Unit (s1, s2) sublattice eigenvector of the straight-array cell.
+    """Unit (s1, s2) sublattice eigenvector of the straight-array cell at q
+    (rad/cm): shape (2,) for a scalar, (2, m) for m momenta."""
+    return _branch_vector(np.asarray(q, dtype=float) * params.spacing_cm,
+                          branch, params)
 
-    At the exact gap edge (qa = pi/2) the generic normalisation degenerates;
-    the fixed convention there is v_minus = (0, 1), v_plus = (1, 0).
-    """
-    qa = float(q) * params.spacing_cm
+
+def _branch_vector(qa, branch: Branch, params: SuperlatticeParams):
+    """``bloch_eigenvector`` at qa (q -> qa rounds), always evaluated as an
+    array so that scalars round as array entries do.  At the gap edge
+    (qa = pi/2) the fixed convention is v_minus = (0, 1), v_plus = (1, 0)."""
+    flat = np.atleast_1d(qa)
     sigma, delta = params.sigma_cm, params.delta_cm
-    c = np.cos(qa)
-    w = np.sqrt(delta**2 + 4 * sigma**2 * c**2)
-    if abs(c) < 1e-14:
-        if delta == 0.0:
-            from .errors import DegenerateGapError
-            raise DegenerateGapError("delta = 0 at the zone edge: gap closed")
-        return np.array([0.0, 1.0]) if branch is Branch.MINUS else np.array([1.0, 0.0])
+    c, w = np.cos(flat), _splitting(flat, params)
+    edge = np.abs(c) < 1e-14
+    if delta == 0.0 and edge.any():
+        raise DegenerateGapError("delta = 0 at the zone edge: gap closed")
     wb = w if branch is Branch.PLUS else -w
-    norm = np.sqrt(2 * w * abs(wb - delta))
-    return np.array([-2 * sigma * c, wb - delta]) / norm
+    norm = np.sqrt(2 * w * np.abs(wb - delta))
+    v = np.array([-2 * sigma * c, wb - delta])
+    np.divide(v, norm, out=v, where=~edge)
+    v[:, edge] = [[1.0], [0.0]] if branch is Branch.PLUS else [[0.0], [1.0]]
+    return v.reshape((2,) + np.shape(qa))
+
+
+def _on_sublattices(v, params: SuperlatticeParams):
+    """Site pattern with v[0] on the A sites (even l) and v[1] on B."""
+    return np.where(params.sites % 2 == 0, v[0], v[1])
 
 
 def bloch_mode_state(q, branch: Branch, params: SuperlatticeParams,
                      gauge: Gauge = Gauge.GAUGED) -> ModeVector:
     """Plane-wave Bloch mode: (s1 on even, s2 on odd sites) * exp(i q l a)."""
     v = bloch_eigenvector(q, branch, params)
-    l = params.sites
     qa = float(q) * params.spacing_cm
-    amps = np.where(l % 2 == 0, v[0], v[1]) * np.exp(1j * qa * l)
+    amps = _on_sublattices(v, params) * np.exp(1j * qa * params.sites)
     amps = amps / np.linalg.norm(amps)
     return ModeVector(amps.astype(complex), gauge, 0.0)
 
@@ -193,16 +205,20 @@ def gaussian_packet_state(q0, width_sites, params: SuperlatticeParams,
     n = params.n_sites
     l = params.sites
     qa0 = float(q0) * params.spacing_cm
-    amps = np.zeros(n, dtype=complex)
     sig_qa = 2.0 / width_sites  # Fourier width of exp(-(l/width)^2)
+    # weights stay scalar: numpy squares a scalar with pow, an array as x * x
+    modes = []
     for j in range(-n // 2, n // 2):
         qa = qa0 + 2 * np.pi * j / n
         weight = np.exp(-((qa - qa0) / sig_qa) ** 2)
-        if weight < 1e-16:
-            continue
-        v = bloch_eigenvector(qa / params.spacing_cm, branch, params)
+        if not weight < 1e-16:
+            modes.append((qa, weight))
+    vs = bloch_eigenvector(np.array([qa for qa, _ in modes]) / params.spacing_cm,
+                           branch, params)
+    amps = np.zeros(n, dtype=complex)
+    for (qa, weight), v in zip(modes, vs.T):
         amps += (weight * np.exp(-1j * qa * center_site)
-                 * np.where(l % 2 == 0, v[0], v[1]) * np.exp(1j * qa * l))
+                 * _on_sublattices(v, params) * np.exp(1j * qa * l))
     amps /= np.linalg.norm(amps)
     return ModeVector(amps, gauge, 0.0)
 
@@ -236,6 +252,18 @@ def sublattice_transform(params: SuperlatticeParams):
     transform[:n // 2, on_a] = scale * np.exp(-1j * np.outer(qa, l[on_a]))
     transform[n // 2:, on_b] = scale * np.exp(-1j * np.outer(qa, l[on_b]))
     return qa, transform
+
+
+def to_sublattice_pairs(amplitudes, transform):
+    """Site amplitudes (..., n) -> (s1, s2) per momentum, (..., n/2, 2)."""
+    s = amplitudes @ transform.T
+    return np.swapaxes(s.reshape(s.shape[:-1] + (2, -1)), -1, -2)
+
+
+def from_sublattice_pairs(pairs, transform):
+    """Inverse of ``to_sublattice_pairs``: pairs (..., n/2, 2) -> sites."""
+    rows = np.swapaxes(pairs, -1, -2)
+    return rows.reshape(rows.shape[:-2] + (-1,)) @ transform.conj()
 
 
 def _check_drift(power, z, p0, tol, dz):
@@ -276,7 +304,7 @@ def _evolve_bloch(state, params, profile, z_end, dz, snapshot_every,
     n, h = step_grid(z_end - state.z, dz)
     steps = snapshot_steps(n, snapshot_stride(snapshot_every, n))
     qa, transform = sublattice_transform(params)
-    y0 = (transform @ state.amplitudes.astype(complex)).reshape(2, -1).T
+    y0 = to_sublattice_pairs(state.amplitudes.astype(complex), transform)
     a = -params.delta_cm
     two_sigma = 2 * params.sigma_cm
     p0 = state.power
@@ -295,9 +323,8 @@ def _evolve_bloch(state, params, profile, z_end, dz, snapshot_every,
     ys = _advance(y0, coefficients, state.z, n, h, steps, monitor)
     zs = state.z + steps * h
     _check_drift(np.sum(np.abs(ys) ** 2, axis=(1, 2)), zs, p0, power_tol, dz)
-    # (n_snapshots, q, sublattice) -> rows of (s1..., s2...) -> sites; the
-    # first snapshot is the input itself, not its round trip
-    sites = np.swapaxes(ys, 1, 2).reshape(len(zs), -1) @ transform.conj()
+    # the first snapshot is the input itself, not its round trip
+    sites = from_sublattice_pairs(ys, transform)
     sites[0] = state.amplitudes
     return zs, sites
 

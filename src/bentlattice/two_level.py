@@ -28,7 +28,7 @@ from . import drive as drv
 from .errors import AccuracyError, DegenerateGapError, ParameterError
 from .integrate import (TREE_RUNS, _advance, default_dz, snapshot_steps,
                         snapshot_stride, step_grid)
-from .tight_binding import SuperlatticeParams
+from .tight_binding import SuperlatticeParams, _splitting
 
 
 class MatrixKind(str, Enum):
@@ -98,7 +98,7 @@ def _full_terms(q, phi, params: SuperlatticeParams):
     """(Z11, Z12) of the exact lattice coupling; phi may be an array."""
     qa = float(q) * params.spacing_cm
     sigma, delta = params.sigma_cm, params.delta_cm
-    w = np.sqrt(delta**2 + 4 * sigma**2 * np.cos(qa) ** 2)
+    w = _splitting(qa, params)
     if w == 0.0:
         raise DegenerateGapError("omega_plus vanished: gap closed at this q")
     c = np.cos(qa - phi)
@@ -314,9 +314,9 @@ def evolve_batch(runs) -> list:
 
 
 def check_norm(traj: TwoLevelTrajectory, h: float):
-    """Raise AccuracyError when the final occupation norm drifted past 1e-8."""
+    """Raise AccuracyError unless the final occupation norm is within 1e-8."""
     drift = abs(traj.norm[-1] - 1.0)
-    if drift > 1e-8:
+    if not drift <= 1e-8:
         raise AccuracyError(
             f"occupation norm drifted by {drift:.2e}; retry with dz = {h / 2:.3e}")
 
@@ -362,11 +362,9 @@ def transition_probability(profile: drv.DriveProfile, params: SuperlatticeParams
 
 
 def _mean_splitting(q, phis, params: SuperlatticeParams) -> float:
-    """Mean of sqrt(delta^2 + 4 sigma^2 cos^2(qa - phi)) over phase samples."""
+    """Mean of the splitting w(qa - phi) over phase samples."""
     qa = float(q) * params.spacing_cm
-    sigma, delta = params.sigma_cm, params.delta_cm
-    vals = np.sqrt(delta**2 + 4 * sigma**2 * np.cos(qa - phis) ** 2)
-    return float(vals.mean())
+    return float(_splitting(qa - phis, params).mean())
 
 
 def quasi_energy(q, phi0, params: SuperlatticeParams) -> float:

@@ -202,6 +202,18 @@ class TestRunner:
             assert row[5] == "ok"
             assert row[4] == _two_level_p_final([f"{axis}={value}"])
 
+    @pytest.mark.parametrize("axis, values, column, scale", [
+        ("drive.period_cm", "0.6676,0.5,0.81", 1, 1.0),
+        ("input.qa_over_pi", "0.2,0.25,0.3", 2, np.pi),
+    ], ids=["period", "qa"])
+    def test_sweep_rows_carry_the_point_value(self, tmp_path, axis, values,
+                                              column, scale):
+        # the lambda_cm and qa columns hold each point's value, not the
+        # base scenario's
+        rows = _two_level_sweep_rows(tmp_path, axis, values)
+        assert [row[column] for row in rows] == [
+            float(value) * scale for value in values.split(",")]
+
     @pytest.mark.parametrize("axis, values, overrides, error", [
         ("drive.period_cm", "0.6676,-1.0,0.5", [], "ParameterError"),
         ("lattice.delta_cm", "1.817,0.0,1.0",
@@ -298,7 +310,7 @@ class TestCli:
         (["run", "--preset", "fig3b", "--set", "lattice.sigma_cm=1e200"],
          3, "overflow"),
         (["run", "--preset", "fig3b", "--set", "lattice.delta_cm=1e150"],
-         3, "summary P_final is not finite"),
+         3, "occupation norm drifted by nan"),
         (["run", "--preset", "fig5b", "--set", "optics.dn1=1e300",
           "--set", "optics.dn2=1e300", "--set", "numerics.z_end_cm=0.01"],
          3, "cell operator is not finite"),

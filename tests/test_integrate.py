@@ -97,6 +97,25 @@ def test_source_holds_one_step_rule_and_one_unit_constant():
     assert len(re.findall(r"int\(round\([^()]*/\s*dz", text)) == 1
 
 
+def test_source_holds_one_lattice_bloch_basis():
+    # the splitting w(qa), the branch eigenvector with its zone-edge error
+    # and the (s1, s2) pair layout are written once, in tight_binding.py
+    text = _source_text()
+    splitting = (r"4\s*\*\s*[\w.]*sigma\w*\s*\*\*\s*2\s*\*\s*"
+                 r"(?:np\.cos\([^()]*\)|\w+)\s*\*\*\s*2")
+    assert len(re.findall(splitting, text)) == 1
+    assert text.count('"delta = 0 at the zone edge') == 1
+    assert "_branch_eigenvectors" not in text
+    assert "_sublattice_spectra" not in text
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "tight_binding.py":
+            assert not re.search(r"\(2,\s*-1\)",
+                                 path.read_text(encoding="utf-8")), path.name
+    for module in ("tight_binding.py", "diagnostics.py"):
+        text = (SRC / module).read_text(encoding="utf-8")
+        assert "to_sublattice_pairs(" in text
+
+
 def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
     # one composed stepper serves two-level runs, batches and periodic
     # lattice runs: RK4 step maps in closed form, one block loop, no loop

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bentlattice import (AccuracyError, Branch, DriveProfile, Gauge,
-                         ParameterError, SuperlatticeParams)
+from bentlattice import (AccuracyError, Branch, DegenerateGapError,
+                         DriveProfile, Gauge, ParameterError,
+                         SuperlatticeParams)
 from bentlattice import drive as drv
 from bentlattice.tight_binding import (Boundary, ModeVector,
                                        bloch_eigenvector, bloch_mode_state,
                                        dispersion, evolve_bare, evolve_gauged,
-                                       gauge_transform, gaussian_packet_state,
-                                       group_velocity)
+                                       from_sublattice_pairs, gauge_transform,
+                                       gaussian_packet_state, group_velocity,
+                                       sublattice_transform,
+                                       to_sublattice_pairs)
 from bentlattice.two_level import evolve as tl_evolve
 from bentlattice.two_level import ground_state
 from bentlattice.diagnostics import lattice_transition_probability
@@ -66,6 +69,59 @@ class TestBlochEigenvector:
         with pytest.raises(DegenerateGapError):
             bloch_eigenvector(massless.q_from_qa(np.pi / 2), Branch.MINUS,
                               massless)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(qa=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12),
+           delta=st.sampled_from([0.0, 0.3, 1.817]),
+           branch=st.sampled_from(list(Branch)))
+    @example(qa=[np.pi / 2, np.pi / 2 + 1e-15, np.pi / 2 - 1e-15,
+                 -np.pi / 2 + 1e-15, -np.pi / 2 - 1e-15, np.pi / 4],
+             delta=1.817, branch=Branch.MINUS)
+    @example(qa=[np.pi / 2, -np.pi / 2 - 1e-15, 0.3], delta=1.817,
+             branch=Branch.PLUS)
+    @example(qa=[0.3, np.pi / 2 + 1e-15], delta=0.0, branch=Branch.PLUS)
+    # cos(qa)**2 here rounds one ulp apart as a numpy scalar (libm pow)
+    # and inside an array (c * c), and the eigenvector with it
+    @example(qa=[2.5843438431613803, 0.3], delta=1.817, branch=Branch.MINUS)
+    def test_array_equals_scalar_calls(self, qa, delta, branch):
+        # one implementation: an array of q gives, column by column, the
+        # bits of separate scalar calls, the gap-edge convention and the
+        # closed-gap error included
+        lattice = SuperlatticeParams(2.0, delta)
+        q = np.array(qa) / lattice.spacing_cm
+        try:
+            columns = [bloch_eigenvector(float(q_i), branch, lattice)
+                       for q_i in q]
+        except DegenerateGapError:
+            with pytest.raises(DegenerateGapError):
+                bloch_eigenvector(q, branch, lattice)
+            return
+        vectors = bloch_eigenvector(q, branch, lattice)
+        assert vectors.shape == (2, len(q))
+        assert all(column.shape == (2,) for column in columns)
+        assert vectors.tobytes() == np.stack(columns, axis=1).tobytes()
+
+
+class TestSublatticePairs:
+    @pytest.mark.parametrize("n_sites", [6, 8])
+    def test_pairs_hold_s1_and_s2_per_momentum(self, n_sites):
+        # (s1, s2) of momentum qa: the A and B sites' Fourier sums
+        lattice = SuperlatticeParams(2.0, 1.817, n_sites=n_sites)
+        qa, transform = sublattice_transform(lattice)
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal((3, n_sites)) + 1j * rng.standard_normal(
+            (3, n_sites))
+        pairs = to_sublattice_pairs(amps, transform)
+        assert pairs.shape == (3, n_sites // 2, 2)
+        l = lattice.sites
+        for k, qa_k in enumerate(qa):
+            wave = np.exp(-1j * qa_k * l) / np.sqrt(n_sites // 2)
+            s1 = amps[:, l % 2 == 0] @ wave[l % 2 == 0]
+            s2 = amps[:, l % 2 != 0] @ wave[l % 2 != 0]
+            assert np.max(np.abs(pairs[:, k] - np.stack([s1, s2], -1))) < 1e-13
+        back = from_sublattice_pairs(pairs, transform)
+        assert np.max(np.abs(back - amps)) < 1e-13
 
 
 class TestStraightEvolution:

@@ -211,6 +211,16 @@ class TestEvolve:
             evolve(ground_state(q_quarter, params), drive, params,
                    z_end=400.0, dz=0.9)
 
+    def test_overflowing_norm_raises(self, q_quarter):
+        # delta = 1e150 overflows the coupling, so the amplitudes turn NaN;
+        # a NaN norm drift must fail the check, not slip past "> 1e-8"
+        overflow = SuperlatticeParams(2.0, 1e150)
+        drive = DriveProfile.from_phase_amplitude("single_cycle", 4.0, 0.6676)
+        with np.errstate(all="ignore"), \
+                pytest.raises(AccuracyError, match="drifted by nan"):
+            evolve(ground_state(q_quarter, overflow), drive, overflow,
+                   z_end=0.6676)
+
     def test_unnormalised_input_rejected(self, params, q_quarter,
                                          resonant_drive):
         bad = TwoLevelState(1.0, 0.5, 0.0, q_quarter)
