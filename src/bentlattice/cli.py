@@ -8,7 +8,6 @@ flagged rows).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
 from .bands import calibrate_channel
@@ -17,38 +16,6 @@ from .config import scenario_from_file, scenario_from_text
 from .errors import BentLatticeError, ConfigError
 from .presets import preset_names, preset_text
 from .runner import run_scenario
-
-
-_GUARDED_NUMPY = ("random", "rand", "randn", "randint", "normal", "uniform",
-                  "standard_normal", "choice", "shuffle", "permutation",
-                  "seed", "default_rng")
-_GUARDED_STDLIB = ("random", "randint", "uniform", "gauss", "choice",
-                   "shuffle", "seed")
-
-
-@contextlib.contextmanager
-def _rng_guard(enabled):
-    """With --seedless, trip on any attempt to draw random numbers."""
-    if not enabled:
-        yield
-        return
-    import random
-
-    import numpy as np
-
-    def _blocked(*_args, **_kwargs):
-        raise RuntimeError("RNG use is forbidden in seedless mode")
-
-    saved = [(np.random, name, getattr(np.random, name))
-             for name in _GUARDED_NUMPY]
-    saved += [(random, name, getattr(random, name)) for name in _GUARDED_STDLIB]
-    try:
-        for module, name, _ in saved:
-            setattr(module, name, _blocked)
-        yield
-    finally:
-        for module, name, original in saved:
-            setattr(module, name, original)
 
 
 def _load_scenario(args):
@@ -69,8 +36,6 @@ def _add_common(parser):
                         help="parallel workers for sweeps over the "
                         "tight_binding, dirac and bpm tiers (two-level "
                         "sweeps run as one batched call)")
-    parser.add_argument("--seedless", action="store_true",
-                        help="assert that no RNG is used anywhere")
 
 
 def build_parser():
@@ -124,8 +89,7 @@ def main(argv=None) -> int:
         if args.command == "bands" and scn.tier != "bands":
             raise ConfigError("bands command needs a bands-tier scenario",
                               "scenario.tier")
-        with _rng_guard(args.seedless):
-            manifest = run_scenario(scn, args.out, jobs=args.jobs)
+        manifest = run_scenario(scn, args.out, jobs=args.jobs)
         summary = manifest["summary"]
         for key in sorted(summary):
             print(f"{key} = {summary[key]}")

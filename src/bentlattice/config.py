@@ -95,13 +95,13 @@ SCHEMA = {
         "mode_q_index": ("int", -1, None),
     },
     "sweep": {
-        "tier": ("str", "two_level", TIERS[:-1]),
+        # the tiers whose summary has a headline value for the sweep row
+        "tier": ("str", "two_level", TIERS[:4]),
         "axis": ("str", "drive.phi0", None),
         "start": ("float", 0.0, None),
         "stop": ("float", 1.0, None),
         "step": ("float", 0.1, None),
         "values": ("floats", None, None),
-        "n_target": ("int", 0, None),
     },
     "output": {
         "prefix": ("str", "run", None),
@@ -223,11 +223,16 @@ def _require(resolved, section, key):
 
 def _validate_tier(resolved, tier):
     if tier == "sweep":
-        base = resolved["sweep"]["tier"]
-        if resolved["sweep"].get("values") is None:
-            if resolved["sweep"]["step"] <= 0:
+        sweep = resolved["sweep"]
+        if sweep.get("values") is None:
+            if sweep["step"] <= 0:
                 raise ConfigError("sweep step must be positive", "sweep.step")
-        axis = resolved["sweep"]["axis"]
+            if sweep["stop"] < sweep["start"]:
+                raise ConfigError("sweep stop must not be below start",
+                                  "sweep.stop")
+        elif not sweep["values"]:
+            raise ConfigError("sweep needs at least one value", "sweep.values")
+        axis = sweep["axis"]
         if "." not in axis:
             raise ConfigError("axis must be section.key", "sweep.axis")
         sec, key = axis.split(".", 1)
@@ -236,7 +241,7 @@ def _validate_tier(resolved, tier):
         if SCHEMA[sec][key][0] not in ("float", "int"):
             raise ConfigError("axis must target a numeric scalar field",
                               f"sweep.axis={axis}")
-        _validate_tier(resolved, base)
+        _validate_tier(resolved, sweep["tier"])
         return
     if tier in ("two_level", "tight_binding", "dirac", "bpm"):
         _require(resolved, "numerics", "z_end_cm")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import drive as drv
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import DegenerateGapError, DomainError, ParameterError, ShapeError
 from .integrate import CHECK_EVERY, default_dz, snapshot_stride, step_grid
 from .tight_binding import Branch, Gauge, ModeVector, SuperlatticeParams
 
@@ -106,17 +106,21 @@ def branch_spinor(k, branch: Branch, params: SuperlatticeParams):
     sigma, delta = params.sigma_cm, params.delta_cm
     eps = np.sqrt(delta**2 + (sigma * kv) ** 2)
     if np.any(eps == 0.0):
-        from .errors import DegenerateGapError
         raise DegenerateGapError("massless spinor at k = 0 has no branch split")
     if branch is Branch.MINUS:
         norm = np.sqrt(2 * eps * (eps + delta))
         out = np.stack([sigma * kv / norm, -(eps + delta) / norm])
     else:
-        small = np.abs(sigma * kv) < 1e-300
-        denom = np.where(small, 1.0, np.sqrt(2 * eps * np.maximum(eps - delta, 0.0)))
+        # eps - delta = (sigma k)^2 / (eps + delta) does not cancel at small
+        # k, and the norm of (sigma k, eps - delta) is taken as |sigma k|
+        # sqrt(2 eps / (eps + delta)), which does not underflow with the square
+        sk = sigma * kv
+        small = np.abs(sk) < 1e-300
+        denom = np.where(small, 1.0,
+                         np.abs(sk) * np.sqrt(2 * eps / (eps + delta)))
         out = np.stack([
-            np.where(small, 1.0, sigma * kv / denom),
-            np.where(small, 0.0, (eps - delta) / denom),
+            np.where(small, 1.0, sk / denom),
+            np.where(small, 0.0, sk**2 / (eps + delta) / denom),
         ])
     return out[:, 0] if np.isscalar(k) else out
 

@@ -355,12 +355,20 @@ def sweep_axis_values(sweep_cfg):
     return [start + i * step for i in range(n)]
 
 
-def _point_scenario(resolved_base, axis, value):
+def _point_config(resolved, tier, axis, value):
+    """One sweep point's config: the sweep's own with ``scenario.tier`` set
+    to the swept tier, ``axis`` set to ``value`` and no sweep section."""
+    point = {sec: dict(keys) for sec, keys in resolved.items() if sec != "sweep"}
+    point["scenario"]["tier"] = tier
     section, key = axis.split(".", 1)
-    point = {sec: dict(keys) for sec, keys in resolved_base.items()}
     kind = SCHEMA[section][key][0]
     point.setdefault(section, {})[key] = int(value) if kind == "int" else value
-    return Scenario(resolve(point))
+    return point
+
+
+# a sweep row's P_final column holds the swept tier's headline value
+_HEADLINE = {"two_level": "P_final", "tight_binding": "P_final",
+             "dirac": "plus_weight_final", "bpm": "band2_final"}
 
 
 def _error_status(exc):
@@ -368,9 +376,9 @@ def _error_status(exc):
 
 
 def _sweep_point(args):
-    index, resolved_base, axis, value = args
+    index, point = args
     try:
-        scn = _point_scenario(resolved_base, axis, value)
+        scn = Scenario(resolve(point))
         _, summary = _TIER_RUNNERS[scn.tier](scn, None)
         _check_finite(summary)
         return index, summary, ""
@@ -400,10 +408,9 @@ def _sweep_two_level(tasks):
     A row needs only the final state, so no other snapshot is kept.
     """
     results, groups = [], {}
-    for index, resolved_base, axis, value in tasks:
+    for index, point in tasks:
         try:
-            scn = _point_scenario(resolved_base, axis, value)
-            args, num = _two_level_point(scn)
+            args, num = _two_level_point(Scenario(resolve(point)))
             dz, _ = _step_plan(num, default_dz(args[1]), 4000)
             run = tl.plan_run(*args, dz=dz, snapshot_every=None)
         except BentLatticeError as exc:
@@ -424,13 +431,11 @@ def _sweep_two_level(tasks):
 
 def _run_sweep(scn: Scenario, out_dir, jobs=1):
     sweep_cfg = scn.section("sweep")
-    axis = sweep_cfg["axis"]
-    values = sweep_axis_values(sweep_cfg)
-    base = {sec: dict(keys) for sec, keys in scn.resolved.items()}
-    base["scenario"]["tier"] = sweep_cfg["tier"]
-    base.pop("sweep", None)
-    tasks = [(i, base, axis, v) for i, v in enumerate(values)]
-    if sweep_cfg["tier"] == "two_level":
+    axis, tier = sweep_cfg["axis"], sweep_cfg["tier"]
+    points = [_point_config(scn.resolved, tier, axis, v)
+              for v in sweep_axis_values(sweep_cfg)]
+    tasks = list(enumerate(points))
+    if tier == "two_level":
         results = _sweep_two_level(tasks)
     elif jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -440,37 +445,27 @@ def _run_sweep(scn: Scenario, out_dir, jobs=1):
     results.sort(key=lambda r: r[0])
 
     rows = []
-    n_failed = 0
     section, key = axis.split(".", 1)
-    for (_, summary, status), value in zip(results, values):
-        point = {sec: dict(scn.section(sec)) for sec in ("drive", "input")}
-        point.setdefault(section, {})[key] = value
-        phi0 = summary.get("phi0") if summary else float("nan")
-        p_final = summary.get("P_final", summary.get("plus_weight_final",
-                  summary.get("band2_final"))) if summary else float("nan")
-        if summary is None:
-            n_failed += 1
-        rows.append((phi0 if phi0 is not None else float("nan"),
-                     point["drive"].get("period_cm", float("nan")),
+    for (_, summary, status), point in zip(results, points):
+        phi0, p_final = ((summary["phi0"], summary[_HEADLINE[tier]])
+                         if summary else (float("nan"), float("nan")))
+        rows.append((phi0, point["drive"]["period_cm"],
                      point["input"]["qa_over_pi"] * np.pi,
-                     float(sweep_cfg["n_target"]),
-                     p_final if p_final is not None else float("nan"),
-                     status or "ok"))
+                     point[section][key], p_final, status or "ok"))
     files = {}
     if out_dir is not None:
         name = f"{scn.prefix}_sweep.csv"
         write_csv(os.path.join(out_dir, name),
-                  ["phi0", "lambda_cm", "qa", "n_target", "P_final", "status"],
-                  rows)
+                  ["phi0", "lambda_cm", "qa", axis, "P_final", "status"], rows)
         files[name] = None
     summary = {
-        "n_points": len(values),
-        "n_failed": n_failed,
+        "n_points": len(rows),
+        "n_failed": sum(row[5] != "ok" for row in rows),
         "axis": axis,
-        "P_first": rows[0][4] if rows else float("nan"),
-        "P_last": rows[-1][4] if rows else float("nan"),
+        "P_first": rows[0][4],
+        "P_last": rows[-1][4],
     }
-    return files, summary, rows
+    return files, summary
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +494,7 @@ def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     if scn.tier == "sweep":
-        files, summary, _ = _run_sweep(scn, out_dir, jobs)
+        files, summary = _run_sweep(scn, out_dir, jobs)
         if summary["n_failed"]:
             summary["status"] = "partial"
     elif scn.tier in _TIER_RUNNERS:

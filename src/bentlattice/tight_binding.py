@@ -134,9 +134,14 @@ class LatticeTrajectory:
         return float(np.max(edges.sum(axis=1) / self.power()))
 
 
+def _coupling_squared(qa, params: SuperlatticeParams):
+    """(2 sigma cos qa)^2 = w(qa)^2 - delta^2, in 1/cm^2."""
+    return 4 * params.sigma_cm**2 * np.cos(qa) ** 2
+
+
 def _splitting(qa, params: SuperlatticeParams):
     """w(qa) = sqrt(delta^2 + 4 sigma^2 cos^2 qa) = omega_plus, in 1/cm."""
-    return np.sqrt(params.delta_cm**2 + 4 * params.sigma_cm**2 * np.cos(qa) ** 2)
+    return np.sqrt(params.delta_cm**2 + _coupling_squared(qa, params))
 
 
 def dispersion(q, params: SuperlatticeParams):
@@ -170,9 +175,12 @@ def _branch_vector(qa, branch: Branch, params: SuperlatticeParams):
     edge = np.abs(c) < 1e-14
     if delta == 0.0 and edge.any():
         raise DegenerateGapError("delta = 0 at the zone edge: gap closed")
-    wb = w if branch is Branch.PLUS else -w
-    norm = np.sqrt(2 * w * np.abs(wb - delta))
-    v = np.array([-2 * sigma * c, wb - delta])
+    # (+-w) - delta; on the plus branch w - delta = (w^2 - delta^2) / (w +
+    # delta) keeps the digits that the difference loses near the gap edge
+    d = (_coupling_squared(flat, params) / (w + delta)
+         if branch is Branch.PLUS else -w - delta)
+    norm = np.sqrt(2 * w * np.abs(d))
+    v = np.array([-2 * sigma * c, d])
     np.divide(v, norm, out=v, where=~edge)
     v[:, edge] = [[1.0], [0.0]] if branch is Branch.PLUS else [[0.0], [1.0]]
     return v.reshape((2,) + np.shape(qa))

@@ -1,12 +1,17 @@
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import bentlattice
 from bentlattice import ConfigError
 from bentlattice.cli import main as cli_main
-from bentlattice.config import (apply_overrides, canonical_dump,
+from bentlattice.config import (SCHEMA, apply_overrides, canonical_dump,
                                 parse_config_text, resolve, scenario_from_text)
 from bentlattice.fieldio import read_csv
 from bentlattice.presets import preset_names, preset_text
@@ -85,6 +90,25 @@ class TestParsing:
         again = resolve(parse_config_text(text))
         assert again == scn.resolved
 
+    @pytest.mark.parametrize("preset", preset_names())
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_canonical_round_trip_of_drawn_floats(self, preset, data):
+        # every float key of the preset, set to a drawn finite value,
+        # comes back from the canonical text unchanged
+        parsed = parse_config_text(preset_text(preset))
+        floats = [(sec, key) for sec, keys in resolve(parsed).items()
+                  for key in keys if SCHEMA[sec][key][0] == "float"]
+        for sec, key in floats:
+            parsed.setdefault(sec, {})[key] = abs(data.draw(
+                st.floats(allow_nan=False, allow_infinity=False),
+                label=f"{sec}.{key}"))
+        try:
+            resolved = resolve(parsed)
+        except ConfigError:
+            assume(False)  # e.g. a drawn sweep.stop below sweep.start
+        assert resolve(parse_config_text(canonical_dump(resolved))) == resolved
+
     def test_sweep_axis_must_be_numeric(self):
         text = MINIMAL_TWO_LEVEL.replace("tier = two_level", "tier = sweep")
         text += "\n[sweep]\ntier = two_level\naxis = drive.kind\n"
@@ -158,7 +182,8 @@ class TestRunner:
         sweep_text += "\n[sweep]\ntier = two_level\naxis = drive.phi0\nvalues = 6.0\n"
         swept = run_scenario(scenario_from_text(sweep_text),
                              str(tmp_path / "sweep"))
-        _, rows = read_csv(tmp_path / "sweep" / "mini_sweep.csv")
+        header, rows = read_csv(tmp_path / "sweep" / "mini_sweep.csv")
+        assert header[3] == "drive.phi0"
         assert len(rows) == 1
         assert rows[0][4] == direct["summary"]["P_final"]
         assert rows[0][5] == "ok"
@@ -178,14 +203,17 @@ class TestRunner:
         assert rows[1][5].startswith("error:")
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
+        # a two-level sweep always runs batched; a tight-binding one goes
+        # through the worker pool when jobs > 1
         sweep_text = MINIMAL_TWO_LEVEL.replace("tier = two_level",
                                                "tier = sweep")
-        sweep_text += ("\n[sweep]\ntier = two_level\naxis = drive.phi0\n"
-                       "start = 1.0\nstop = 3.0\nstep = 0.5\n")
-        m1 = run_scenario(scenario_from_text(sweep_text),
-                          str(tmp_path / "serial"), jobs=1)
-        m2 = run_scenario(scenario_from_text(sweep_text),
-                          str(tmp_path / "par"), jobs=3)
+        sweep_text += ("\n[lattice]\nn_sites = 16\n"
+                       "[sweep]\ntier = tight_binding\naxis = drive.phi0\n"
+                       "values = 1,2,3\n")
+        run_scenario(scenario_from_text(sweep_text), str(tmp_path / "serial"),
+                     jobs=1)
+        run_scenario(scenario_from_text(sweep_text), str(tmp_path / "par"),
+                     jobs=2)
         name = "mini_sweep.csv"
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "par" / name).read_bytes()
@@ -205,11 +233,12 @@ class TestRunner:
     @pytest.mark.parametrize("axis, values, column, scale", [
         ("drive.period_cm", "0.6676,0.5,0.81", 1, 1.0),
         ("input.qa_over_pi", "0.2,0.25,0.3", 2, np.pi),
-    ], ids=["period", "qa"])
+        ("lattice.delta_cm", "1.817,1.5,2.0", 3, 1.0),
+    ], ids=["period", "qa", "delta"])
     def test_sweep_rows_carry_the_point_value(self, tmp_path, axis, values,
                                               column, scale):
-        # the lambda_cm and qa columns hold each point's value, not the
-        # base scenario's
+        # the lambda_cm, qa and swept-axis columns hold each point's value,
+        # not the base scenario's
         rows = _two_level_sweep_rows(tmp_path, axis, values)
         assert [row[column] for row in rows] == [
             float(value) * scale for value in values.split(",")]
@@ -247,8 +276,7 @@ class TestCli:
         assert "fig2a" in out and "fig5c" in out
 
     def test_run_preset(self, tmp_path, capsys):
-        code = cli_main(["run", "--preset", "fig3c",
-                         "--out", str(tmp_path), "--seedless"])
+        code = cli_main(["run", "--preset", "fig3c", "--out", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "P_final" in out
@@ -314,9 +342,18 @@ class TestCli:
         (["run", "--preset", "fig5b", "--set", "optics.dn1=1e300",
           "--set", "optics.dn2=1e300", "--set", "numerics.z_end_cm=0.01"],
          3, "cell operator is not finite"),
+        (["sweep", "--preset", "fig3", "--set", "sweep.start=2",
+          "--set", "sweep.stop=1"], 2, "config error: sweep.stop"),
+        (["sweep", "--preset", "fig3", "--set", "sweep.values=,"],
+         2, "config error: sweep.values"),
+        (["sweep", "--preset", "fig3", "--set", "sweep.tier=bands"],
+         2, "config error: sweep.tier"),
+        (["sweep", "--preset", "fig3", "--set", "sweep.n_target=0"],
+         2, "config error: sweep.n_target: unknown key"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
-            "nan_summary", "non_finite_bands"])
+            "nan_summary", "non_finite_bands", "empty_sweep_range",
+            "empty_sweep_values", "bands_sweep", "sweep_n_target"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):
@@ -379,12 +416,32 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg),
                          "--out", str(tmp_path)]) == 3
 
-    def test_seedless_guard_blocks_rng(self):
-        from bentlattice.cli import _rng_guard
-        with _rng_guard(True):
-            with pytest.raises(Exception):
-                np.random.random()
-        np.random.random()  # restored afterwards
+    def test_package_draws_no_random_numbers(self):
+        # the package is deterministic: no module imports or reaches an RNG
+        def draws_random(name):
+            name = name.replace("np.", "numpy.", 1)
+            return (name.split(".")[0] in ("random", "secrets")
+                    or name.startswith("numpy.random")
+                    or name.endswith("default_rng"))
+
+        found = []
+        for path in Path(bentlattice.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}"
+                             for alias in node.names]
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)):
+                    names = [f"{node.value.id}.{node.attr}"]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}"
+                          for name in names if draws_random(name)]
+        assert found == []
 
 
 TB_CONFIG = """

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bentlattice import (Branch, DomainError, DriveProfile, Gauge,
                          ParameterError, ShapeError, SuperlatticeParams)
@@ -55,6 +57,26 @@ class TestBranchSpinors:
         assert np.linalg.norm(h @ up - hi * up) < 1e-12
         assert abs(np.dot(um, up)) < 1e-14
         assert np.linalg.norm(um) == pytest.approx(1.0, abs=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponent=st.floats(-15.0, -1.0), side=st.sampled_from([-1, 1]),
+           branch=st.sampled_from(list(Branch)))
+    @example(exponent=-10.0, side=1, branch=Branch.PLUS)
+    # (sigma k)^2 underflows here, so the norm is taken without it
+    @example(exponent=-200.0, side=1, branch=Branch.PLUS)
+    def test_spinor_near_zero_momentum(self, exponent, side, branch):
+        params = SuperlatticeParams(2.0, 1.817)
+        # eps - delta cancels to 0 at small k unless it is written as
+        # (sigma k)^2 / (eps + delta)
+        k = side * 10.0**exponent
+        h = np.array([[params.delta_cm, params.sigma_cm * k],
+                      [params.sigma_cm * k, -params.delta_cm]])
+        u = branch_spinor(k, branch, params)
+        lo, hi = free_dispersion(k, params)
+        eps = hi if branch is Branch.PLUS else lo
+        assert np.all(np.isfinite(u))
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+        assert np.linalg.norm(h @ u - eps * u) < 1e-13
 
 
 class TestFreeEvolution:

@@ -72,6 +72,23 @@ class TestBlochEigenvector:
 
 
     @settings(max_examples=60, deadline=None)
+    @given(exponent=st.floats(-15.0, -1.0), side=st.sampled_from([-1, 1]),
+           branch=st.sampled_from(list(Branch)))
+    @example(exponent=-10.0, side=-1, branch=Branch.PLUS)
+    def test_eigenvector_near_gap_edge(self, exponent, side, branch):
+        params = SuperlatticeParams(2.0, 1.817)
+        # w - delta cancels to 0 a hair off qa = pi/2 unless it is written
+        # as 4 sigma^2 cos^2 qa / (w + delta)
+        q = (np.pi / 2 + side * 10.0**exponent) / params.spacing_cm
+        v = bloch_eigenvector(q, branch, params)
+        lo, hi = dispersion(q, params)
+        omega = hi if branch is Branch.PLUS else lo
+        h = cell_matrix(q * params.spacing_cm, 0.0, params)
+        assert np.all(np.isfinite(v))
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        assert np.linalg.norm(h @ v - omega * v) < 1e-13
+
+    @settings(max_examples=60, deadline=None)
     @given(qa=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=12),
            delta=st.sampled_from([0.0, 0.3, 1.817]),
            branch=st.sampled_from(list(Branch)))
