@@ -241,6 +241,13 @@ def _validate_tier(resolved, tier):
         if SCHEMA[sec][key][0] not in ("float", "int"):
             raise ConfigError("axis must target a numeric scalar field",
                               f"sweep.axis={axis}")
+        # no tier reads the sweep section, and of the bands section only
+        # bpm reads its plane-wave basis: such an axis gives a flat curve
+        if sec == "sweep" or (sec == "bands" and not (
+                sweep["tier"] == "bpm" and key in ("n_plane_waves",
+                                                   "n_bands"))):
+            raise ConfigError(f"the {sweep['tier']} tier does not read it",
+                              f"sweep.axis={axis}")
         _validate_tier(resolved, sweep["tier"])
         return
     if tier in ("two_level", "tight_binding", "dirac", "bpm"):
@@ -249,11 +256,17 @@ def _validate_tier(resolved, tier):
             value = resolved["numerics"].get(key)
             if value is not None and value <= 0:
                 raise ConfigError("must be positive", f"numerics.{key}")
-    if tier == "bands":
+    if tier in ("bands", "bpm"):
         bands = resolved["bands"]
-        for key in ("n_bands", "n_q"):
-            if bands[key] < 1:
-                raise ConfigError("must be >= 1", f"bands.{key}")
+        if bands["n_plane_waves"] % 2 == 0 or bands["n_plane_waves"] < 41:
+            raise ConfigError("must be odd and >= 41", "bands.n_plane_waves")
+        # bpm reports the populations of the two lowest bands
+        least = 2 if tier == "bpm" else 1
+        if bands["n_bands"] < least:
+            raise ConfigError(f"must be >= {least}", "bands.n_bands")
+    if tier == "bands":
+        if bands["n_q"] < 1:
+            raise ConfigError("must be >= 1", "bands.n_q")
         # a negative mode_q_index selects the middle q sample
         if bands["dump_modes"] and bands["mode_q_index"] >= bands["n_q"]:
             raise ConfigError(f"must be < bands.n_q = {bands['n_q']}",

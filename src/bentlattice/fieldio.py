@@ -86,8 +86,8 @@ def read_field_dump(path):
             raise ShapeError("not a field dump (bad magic)")
         if version != VERSION:
             raise ShapeError(f"unsupported dump version {version}")
-        comps = []
-        for _ in range(ncomp):
-            raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
-            comps.append((raw[0::2] + 1j * raw[1::2]).copy())
+        # (re, im) pairs are the bytes of little-endian complex128, read
+        # bit for bit: no arithmetic touches NaN payloads or signed zeros
+        comps = [np.frombuffer(fh.read(16 * n), dtype="<c16").astype(complex)
+                 for _ in range(ncomp)]
     return comps, {"x_min": x_min, "x_max": x_max, "z": z, "n": n}

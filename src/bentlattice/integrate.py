@@ -1,5 +1,5 @@
 """The fixed-step rule shared by the propagating tiers, the half-step
-grid of the RK4 steppers, and the two RK4 steppers.
+grid of the steppers, and the two steppers that read it.
 
 Deterministic trajectories are a repo-wide requirement, so every
 propagating tier (two-level, tight-binding, spinor, BPM) steps the same
@@ -7,11 +7,12 @@ way: a default target step per drive, a fixed step chosen to divide the
 span exactly, no adaptivity, no randomness.
 
 The composed stepper ``_advance`` moves a batch of 2x2 problems
-i dy/dz = [[-a, b], [b, a]] y by products of closed-form RK4 step maps.
-It serves the two-level tier and every periodic lattice run, where each
-Bloch momentum is its own sublattice pair.  ``rk4_evolve`` steps a state
-vector one step at a time and serves only the hard-wall lattice runs,
-which do not split by momentum.
+i dy/dz = [[-a, b], [b, a]] y by products of closed-form fourth-order
+Magnus step maps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151),
+each an exact SU(2) exponential.  It serves the two-level tier and every
+periodic lattice run, where each Bloch momentum is its own sublattice
+pair.  ``rk4_evolve`` steps a state vector one RK4 step at a time and
+serves only the hard-wall lattice runs, which do not split by momentum.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ _STATE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 # step-count ceiling of one run, 1000 times the longest preset's 100k
 # steps: a step grid above it would run for days, so it is an input error
 MAX_STEPS = 10**8
+# largest step angle theta of a Magnus step map; the presets reach 6.3e-3,
+# and one RK4 step at h |G| = 0.094 drifted the norm by the 1e-8 tolerance
+MAX_STEP_ANGLE = 0.1
+_TINY = np.finfo(float).tiny
 # steps between the in-run checks of the lattice and spinor tiers (power
 # drift, edge density): a fault between snapshots ends the run early
 CHECK_EVERY = 200
@@ -84,8 +89,8 @@ def half_step_blocks(z0: float, n: int, h: float, block: int = BLOCK_STEPS):
     and their half-step samples ``zs = z0 + arange(2 i0, 2 i1 + 1) h/2``.
 
     Drive values are evaluated once per sample, one vectorised call per
-    block, and the four RK4 stages of step i read samples 2i, 2i+1, 2i+1
-    and 2i+2; blocks of ``block`` steps keep memory bounded at any length.
+    block, and step i reads samples 2i, 2i+1 and 2i+2 (its start, middle
+    and end); blocks of ``block`` steps keep memory bounded at any length.
     """
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
@@ -93,17 +98,19 @@ def half_step_blocks(z0: float, n: int, h: float, block: int = BLOCK_STEPS):
 
 
 def _step_maps(a, b, h):
-    """RK4 step maps R = [[p, s], [-s*, p*]] of the m steps whose half-step
-    samples ``(a, b)`` have 2m + 1 rows, as four real arrays
-    ``(Re p, Im p, Re s, Im s)`` of shape (M, B); rows m..M-1 of the
+    """Fourth-order Magnus step maps R = [[p, s], [-s*, p*]] of the m steps
+    whose half-step samples ``(a, b)`` have 2m + 1 rows, as four real
+    arrays ``(Re p, Im p, Re s, Im s)`` of shape (M, B); rows m..M-1 of the
     power-of-two M >= m hold the identity map.
 
-    With stage generators A_j = -i h G_j at the step's start, middle and
-    end (j = 0, 1, 2), G_j = [[-a_j, b_j], [b_j, a_j]], one RK4 step is
-    R = 1 + (A0 + 4 A1 + A2)/6 + (A1 A0 + A1^2 + A2 A1)/6
-          + (A1^2 A0 + A2 A1^2)/12 + A2 A1^2 A0/24,
-    and G_i G_j = (a_i a_j + b_i b_j) + (b_i a_j - a_i b_j) J with
-    J = [[0, 1], [-1, 0]], so A1^2 = -h^2 e, e = a_1^2 + b_1^2.
+    The generator G_j = [[-a_j, b_j], [b_j, a_j]] = n_j . sigma with
+    n_j = (b_j, 0, -a_j) at the step's start, middle and end (j = 0, 1, 2)
+    gives the Magnus exponent -i h (G0 + 4 G1 + G2)/6 - h^2 [G2, G0]/12
+    = -i v . sigma, v = h (n0 + 4 n1 + n2)/6 + h^2 (n2 x n0)/6, so with
+    the step angle theta = |v|, R = cos theta - i sin theta v/theta . sigma
+    is unitary for any step.  A theta not within ``MAX_STEP_ANGLE`` (NaN
+    included) sets its Re p to NaN, which the callers' norm and power
+    checks report.
     """
     a0, a1, a2 = a[:-2:2], a[1::2], a[2::2]
     b0, b1, b2 = b[:-2:2], b[1::2], b[2::2]
@@ -111,39 +118,23 @@ def _step_maps(a, b, h):
     out = np.zeros((4, 1 << (m - 1).bit_length(), a1.shape[1]))
     out[0, m:] = 1.0
     pr, pi, sr, si = out[:, :m]
-    e = a1 * a1
-    e += b1 * b1
-    sa = a0 + a2
-    sb = b0 + b2
-    # Im p = h (a0 + 4 a1 + a2)/6 - h^3 e (a0 + a2)/12, Im s likewise in b
-    w = e * (-h**3 / 12)
-    w += h / 6
-    np.multiply(w, sa, out=pi)
-    pi += (2 * h / 3) * a1
-    np.multiply(w, sb, out=si)
-    si += (2 * h / 3) * b1
-    np.negative(si, out=si)
-    # Re p = 1 - h^2 (a1 (a0 + a2) + b1 (b0 + b2) + e)/6
-    #          + h^4 e (a0 a2 + b0 b2)/24
-    np.multiply(a1, sa, out=pr)
-    pr += b1 * sb
-    pr += e
-    pr *= -h**2 / 6
-    pr += 1.0
-    np.multiply(a0, a2, out=w)
-    w += b0 * b2
-    w *= e
-    pr += (h**4 / 24) * w
-    # Re s = -h^2 (a1 (b2 - b0) + b1 (a0 - a2))/6 + h^4 e (b2 a0 - a2 b0)/24
-    np.subtract(b2, b0, out=sa)
-    np.multiply(a1, sa, out=sr)
-    np.subtract(a0, a2, out=sb)
-    sr += b1 * sb
-    sr *= -h**2 / 6
-    np.multiply(b2, a0, out=w)
-    w -= a2 * b0
-    w *= e
-    sr += (h**4 / 24) * w
+    # Im p, Re s, Im s are -v_z, -v_y, -v_x times sin theta / theta
+    np.add(a0, a2, out=pi)
+    pi += 4 * a1
+    pi *= h / 6
+    np.add(b0, b2, out=si)
+    si += 4 * b1
+    si *= -h / 6
+    np.multiply(a2, b0, out=sr)
+    sr -= a0 * b2
+    sr *= h * h / 6
+    # floored at the smallest normal float, so sin theta / theta = 1 at v = 0
+    theta = np.maximum(np.sqrt(pi * pi + sr * sr + si * si), _TINY)
+    sin = np.sin(theta)
+    # cos theta within the guard, with one transcendental call less
+    np.sqrt(1.0 - sin * sin, out=pr)
+    pr[~(theta <= MAX_STEP_ANGLE)] = np.nan
+    out[1:, :m] *= sin / theta
     return out
 
 
@@ -194,7 +185,7 @@ def _prefix(maps):
 
 def _advance(y0, coefficients, z0, n, h, steps, monitor=None):
     """Step the B states ``y0`` (B, 2) of i dy/dz = [[-a, b], [b, a]] y
-    from z0 over n RK4 steps of h; return their states after ``steps``
+    from z0 over n Magnus steps of h; return their states after ``steps``
     steps (sorted, 0 and n included), shaped (len(steps), B, 2).
 
     ``coefficients(zs) -> (a, b)`` gives the generator at a block's
@@ -202,12 +193,14 @@ def _advance(y0, coefficients, z0, n, h, steps, monitor=None):
     ``TREE_STEPS`` steps for up to ``TREE_RUNS`` states and fewer for more.
     A state (y0, y1) rides as the map with p = y0, s = -y1*, whose first
     column it is.  The chain moves from block end to block end by the
-    block's balanced product; snapshots inside a block are read off its
-    prefix products, which never feed the chain.  ``monitor(i, y)`` sees
-    the states y (B, 2) after each block's last step i.
+    block's balanced product, scaled to |p|^2 + |s|^2 = 1; snapshots
+    inside a block are read off its prefix products, which never feed the
+    chain.  ``monitor(i, y)`` sees the states y (B, 2) after each block's
+    last step i.
 
-    Overflowing generators leave inf and NaN in the maps without numpy
-    warnings; the callers' norm, power and finiteness checks report them.
+    Overflowing generators and steps above ``MAX_STEP_ANGLE`` leave NaN in
+    their own columns without numpy warnings; the callers' norm, power and
+    finiteness checks report them.
     """
     out = np.empty((len(steps), len(y0), 2), dtype=complex)
     parts = out.view(float)   # (len(steps), B, 4)
@@ -230,6 +223,10 @@ def _advance(y0, coefficients, z0, n, h, steps, monitor=None):
                 total = [x[-1] for x in maps]
             else:
                 total = _product(maps)
+            # a unit block product keeps rounding from adding up along the
+            # chain, as when a straight axis repeats one map; NaN stays NaN
+            total = np.array(total)
+            total /= np.sqrt((total * total).sum(axis=0))
             state = np.array(_compose(total, state))
             if monitor is not None:
                 y = np.empty_like(out[0])

@@ -233,9 +233,8 @@ def _run_bpm(scn: Scenario, out_dir):
              else inp["theta_over_bragg"] * bpm_mod.bragg_angle(optics))
     field = bpm_mod.gaussian_tilted_input(inp["w0_um"], theta, optics, grid)
     band_structure = diag.bands_for_grid(
-        optics, grid, n_plane_waves=bands_cfg["n_plane_waves"] if
-        bands_cfg["n_plane_waves"] % 2 else bands_cfg["n_plane_waves"] + 1,
-        n_bands=max(4, bands_cfg["n_bands"]))
+        optics, grid, n_plane_waves=bands_cfg["n_plane_waves"],
+        n_bands=bands_cfg["n_bands"])
     if inp["purify_band"]:
         field = diag.project_onto_band(field, band_structure, band=0)
     absorber = bpm_mod.AbsorberSpec(num["absorber_fraction"],

@@ -11,9 +11,11 @@ The gauged equations are invariant under two-site translation, so on a
 periodic chain each Bloch momentum q evolves as its own sublattice pair
 (s1, s2), the two-level reduction, exact per q.  Periodic runs (gauged
 under any drive, bare on a straight axis, where Phi = 0) therefore step
-the n/2 momenta as one batch on the composed RK4 step maps of
-``integrate._advance``.  Hard-wall runs break the translation symmetry
-and step the site amplitudes with ``integrate.rk4_evolve``.
+the n/2 momenta as one batch on the composed fourth-order Magnus step
+maps of ``integrate._advance``, unitary per step; a step too coarse for
+the generator fails the power check as NaN.  Hard-wall runs break the
+translation symmetry and step the site amplitudes with RK4,
+``integrate.rk4_evolve``.
 """
 
 from __future__ import annotations

@@ -325,10 +325,13 @@ def evolve(state: TwoLevelState, profile: drv.DriveProfile,
            params: SuperlatticeParams, matrix_kind=MatrixKind.FULL,
            z_end: float = None, dz: float = None,
            snapshot_every: int = 1) -> TwoLevelTrajectory:
-    """Fixed-step RK4 integration of the occupation amplitudes.
+    """Fixed-step fourth-order Magnus integration of the occupation
+    amplitudes, each step an exact SU(2) map.
 
-    The drive phase is sampled once on the half-step grid, so the four RK4
-    stages reuse exact values and trajectories are bit-reproducible.
+    The drive phase is sampled once on the half-step grid, so each step
+    reads exact values at its start, middle and end and trajectories are
+    bit-reproducible.  A step too coarse for the generator (step angle
+    above ``integrate.MAX_STEP_ANGLE``) fails the norm check as NaN.
     """
     run = plan_run(state, profile, params, matrix_kind, z_end, dz,
                    snapshot_every)

@@ -350,10 +350,27 @@ class TestCli:
          2, "config error: sweep.tier"),
         (["sweep", "--preset", "fig3", "--set", "sweep.n_target=0"],
          2, "config error: sweep.n_target: unknown key"),
+        (["sweep", "--preset", "fig3", "--set", "sweep.axis=bands.n_q",
+          "--set", "sweep.values=8,16"], 2, "config error: sweep.axis"),
+        (["sweep", "--preset", "fig3", "--set", "sweep.axis=sweep.step"],
+         2, "config error: sweep.axis"),
+        (["sweep", "--preset", "fig3", "--set", "sweep.tier=bpm", "--set",
+          "sweep.axis=bands.n_q"], 2, "config error: sweep.axis"),
+        (["bands", "--preset", "fig4_bands", "--set",
+          "bands.n_plane_waves=160"], 2, "config error: bands.n_plane_waves"),
+        (["bands", "--preset", "fig4_bands", "--set",
+          "bands.n_plane_waves=39"], 2, "config error: bands.n_plane_waves"),
+        (["run", "--preset", "fig5b", "--set", "bands.n_plane_waves=80"],
+         2, "config error: bands.n_plane_waves"),
+        (["run", "--preset", "fig5b", "--set", "bands.n_bands=1"],
+         2, "config error: bands.n_bands"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
-            "empty_sweep_values", "bands_sweep", "sweep_n_target"])
+            "empty_sweep_values", "bands_sweep", "sweep_n_target",
+            "unread_bands_axis", "sweep_section_axis", "bpm_unread_bands_axis",
+            "even_plane_waves", "few_plane_waves", "bpm_even_plane_waves",
+            "bpm_one_band"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):
@@ -505,6 +522,16 @@ class TestOtherTierRunners:
         assert len(rows) % 64 == 0
         header2, _ = read_csv(tmp_path / "tb_transition.csv")
         assert header2 == ["z_cm", "P"]
+
+    def test_straight_axis_drift_does_not_add_up(self):
+        # a straight axis repeats one step map 4000 times, so the rounding
+        # of the composed block products adds up coherently unless each is
+        # renormalised (3.5e-13 without, 2.4e-14 with)
+        scn = scenario_from_text(preset_text("fig2a"), overrides=[
+            "scenario.tier=tight_binding", "lattice.n_sites=64",
+            "numerics.z_end_cm=2", "input.packet=gaussian",
+            "input.width_sites=6", "drive.kind=straight"])
+        assert run_scenario(scn, None)["summary"]["power_drift"] <= 5e-14
 
     def test_tight_binding_self_check(self):
         scn = scenario_from_text(TB_CONFIG,

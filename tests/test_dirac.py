@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bentlattice import (Branch, DomainError, DriveProfile, Gauge,
                          ParameterError, ShapeError, SuperlatticeParams)
@@ -18,8 +19,9 @@ from bentlattice.diagnostics import (lattice_transition_probability,
                                      packet_census)
 from bentlattice.integrate import (CHECK_EVERY, default_dz, snapshot_stride,
                                    step_grid)
-from bentlattice.tight_binding import (bloch_mode_state, dispersion,
-                                       evolve_gauged, gaussian_packet_state)
+from bentlattice.tight_binding import (ModeVector, bloch_mode_state,
+                                       dispersion, evolve_gauged,
+                                       gaussian_packet_state)
 from bentlattice.two_level import (MatrixKind, transition_probability,
                                    zone_edge_k)
 
@@ -272,6 +274,20 @@ class TestLatticeMap:
         back = lattice_from_spinor(spinor, params)
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) == 0.0
         assert back.gauge is Gauge.GAUGED
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_sites=st.sampled_from(range(4, 65, 4)))
+    def test_round_trip_of_drawn_amplitudes(self, data, n_sites):
+        # any finite complex amplitudes come back exactly
+        parts = data.draw(hnp.arrays(
+            float, (n_sites, 2),
+            elements=st.floats(allow_nan=False, allow_infinity=False)))
+        state = ModeVector(parts[:, 0] + 1j * parts[:, 1], Gauge.GAUGED, 0.5)
+        lattice = SuperlatticeParams(2.0, 1.817, n_sites=n_sites)
+        back = lattice_from_spinor(spinor_from_lattice(state, lattice),
+                                   lattice)
+        assert np.array_equal(back.amplitudes, state.amplitudes)
+        assert back.z == state.z
 
     def test_power_preserved(self, params):
         state = gaussian_packet_state(params.q_from_qa(0.35 * np.pi), 6.0,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bentlattice import ShapeError
 from bentlattice.fieldio import (format_float, read_csv, read_field_dump,
@@ -59,6 +62,24 @@ class TestFieldDump:
         comps, meta = read_field_dump(path)
         assert len(comps) == 2
         np.testing.assert_array_equal(comps[1], psi2.astype(complex))
+
+    # each example overwrites the one dump file of the shared tmp_path
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), ncomp=st.integers(1, 3), n=st.integers(1, 64),
+           ends=st.tuples(st.floats(), st.floats(), st.floats()))
+    def test_round_trip_is_bit_exact(self, tmp_path, data, ncomp, n, ends):
+        # any float64 bits, NaN payloads, infinities and -0.0 included
+        bits = data.draw(hnp.arrays(np.uint64, (ncomp, n, 2)))
+        path = tmp_path / "drawn.bin"
+        write_field_dump(path, list(bits.view(complex)[..., 0]), *ends)
+        back, meta = read_field_dump(path)
+        assert np.array_equal(np.array(back).view(np.uint64),
+                              bits.reshape(ncomp, 2 * n))
+        grid = [meta["x_min"], meta["x_max"], meta["z"]]
+        assert np.array_equal(np.array(grid).view(np.uint64),
+                              np.array(ends).view(np.uint64))
+        assert meta["n"] == n
 
     def test_mismatched_lengths_rejected(self, tmp_path):
         with pytest.raises(ShapeError):

@@ -118,7 +118,7 @@ def test_source_holds_one_lattice_bloch_basis():
 
 def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
     # one composed stepper serves two-level runs, batches and periodic
-    # lattice runs: RK4 step maps in closed form, one block loop, no loop
+    # lattice runs: Magnus step maps in closed form, one block loop, no loop
     # over single steps
     assert len(re.findall(r"^def _step_maps\(", _source_text(), re.M)) == 1
     tree = ast.parse((SRC / "integrate.py").read_text(encoding="utf-8"))

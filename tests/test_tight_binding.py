@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from bentlattice import (AccuracyError, Branch, DegenerateGapError,
                          DriveProfile, Gauge, ParameterError,
@@ -202,6 +203,31 @@ def per_stage_reference(state, params, profile, z_end, dz, boundary):
     return y
 
 
+def magnus_reference(state, params, profile, z_end, dz):
+    """Periodic gauged chain stepped by a per-step scipy ``expm`` of the
+    fourth-order Magnus exponent -i h (H0 + 4 H1 + H2)/6 - h^2 [H2, H0]/12
+    of the full (n, n) site Hamiltonian at each step's start, middle and
+    end."""
+    sigma = params.sigma_cm
+    n = params.n_sites
+    up = np.roll(np.eye(n), 1, axis=1)      # (up @ c)_l = c_{l+1}
+
+    def hamiltonian(z):
+        ph = np.exp(-1j * drv.phase(profile, z))
+        return (np.diag(params.sublattice_sign * params.delta_cm)
+                - sigma * ph * up - sigma * np.conj(ph) * up.T)
+
+    steps = int(round((z_end - state.z) / dz))
+    h = (z_end - state.z) / steps
+    y = state.amplitudes.astype(complex)
+    for i in range(steps):
+        z = state.z + i * h
+        h0, h1, h2 = (hamiltonian(z + t) for t in (0.0, h / 2, h))
+        y = expm(-1j * h / 6 * (h0 + 4 * h1 + h2)
+                 - h**2 / 12 * (h2 @ h0 - h0 @ h2)) @ y
+    return y
+
+
 class TestHalfStepSamples:
     @pytest.mark.parametrize("gauge, boundary, evolver", [
         (Gauge.BARE, Boundary.HARD_WALL, evolve_bare),
@@ -215,14 +241,17 @@ class TestHalfStepSamples:
                                       params, gauge=gauge)
         traj = evolver(state, params, drive, 0.7, dz=5e-4,
                        snapshot_every=None, boundary=boundary)
-        ref = per_stage_reference(state, params, drive, 0.7, 5e-4, boundary)
+        # hard walls step RK4 on the sites, periodic chains Magnus per q
+        ref = (per_stage_reference(state, params, drive, 0.7, 5e-4, boundary)
+               if boundary is Boundary.HARD_WALL
+               else magnus_reference(state, params, drive, 0.7, 5e-4))
         assert len(traj.z) == 2
         assert np.max(np.abs(traj.final.amplitudes - ref)) < 1e-13
 
 
 class TestBlochPath:
     # periodic runs step each Bloch momentum on the composed two-level maps;
-    # the site-space reference steps the whole chain with np.roll
+    # the site-space reference steps the whole chain by matrix exponentials
     @settings(max_examples=12, deadline=None)
     @given(n_sites=st.sampled_from(range(4, 33, 2)),
            delta=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
@@ -252,13 +281,12 @@ class TestBlochPath:
         steps = sorted({*range(0, n_steps + 1, stride), n_steps})
         assert np.array_equal(traj.z, np.array(steps) * (z_end / n_steps))
         assert np.array_equal(traj.states[0], state.amplitudes)
-        ref = per_stage_reference(state, params, drive, z_end, dz,
-                                  Boundary.PERIODIC)
+        ref = magnus_reference(state, params, drive, z_end, dz)
         assert np.max(np.abs(traj.final.amplitudes - ref)) < 1e-12
         # the first snapshot inside the run, against the reference run to it
         if len(steps) > 2:
-            ref = per_stage_reference(state, params, drive, traj.z[1],
-                                      traj.z[1] / steps[1], Boundary.PERIODIC)
+            ref = magnus_reference(state, params, drive, traj.z[1],
+                                   traj.z[1] / steps[1])
             assert np.max(np.abs(traj.states[1] - ref)) < 1e-12
 
 

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import expm
 
 from bentlattice import (AccuracyError, Branch, DegenerateGapError,
                          DomainError, DriveProfile, ParameterError,
                          SuperlatticeParams)
-from bentlattice.integrate import TREE_STEPS
+from bentlattice.integrate import MAX_STEP_ANGLE, TREE_STEPS, _step_maps
 from bentlattice.tight_binding import bloch_eigenvector, dispersion
 from bentlattice.two_level import (TREE_RUNS, DiracUnitsMap,
                                    MatrixKind, PhysicalConstants,
-                                   TwoLevelRun, TwoLevelState,
+                                   TwoLevelRun, TwoLevelState, check_norm,
                                    coupling_matrix_dirac, coupling_matrix_full,
                                    coupling_matrix_reduced, evolve,
                                    evolve_batch, free_energy, ground_state,
@@ -284,24 +286,25 @@ class TestBatchedStepper:
 
 
 
-def _rk4_reference(r0, z11, z12, h, steps):
-    """Stage-by-stage RK4 of (r-, r+) columns under the generator
-    [[-z11, z12], [z12, z11]], with coefficients tabulated on the half-step
-    grid (rows 2i, 2i+1, 2i+2 serve step i); the states after ``steps``."""
-    def rhs(j, r):
-        a, b = z11[j], z12[j]
-        return -1j * np.array([-a * r[0] + b * r[1], b * r[0] + a * r[1]])
-
-    r, out = r0.copy(), [r0.copy()]
+def _magnus_reference(r0, z11, z12, h, steps):
+    """Per-step scipy ``expm`` of the fourth-order Magnus exponent
+    -i h (G0 + 4 G1 + G2)/6 - h^2 [G2, G0]/12 of the generator
+    G = [[-z11, z12], [z12, z11]], with coefficients tabulated on the
+    half-step grid (rows 2i, 2i+1, 2i+2 serve step i); the (r-, r+)
+    columns after ``steps`` and each run's largest step angle, the
+    largest eigenvalue modulus of the exponent."""
+    g = np.moveaxis(np.array([[-z11, z12], [z12, z11]]), (0, 1), (-2, -1))
+    g0, g1, g2 = g[:-2:2], g[1::2], g[2::2]
+    exponent = (-1j * h / 6 * (g0 + 4 * g1 + g2)
+                - h**2 / 12 * (g2 @ g0 - g0 @ g2))
+    maps = expm(exponent)
+    angle = np.abs(np.linalg.eigvals(exponent)).max(axis=(0, 2))
+    r, out = r0.T.copy(), [r0.copy()]
     for i in range(steps[-1]):
-        k1 = rhs(2 * i, r)
-        k2 = rhs(2 * i + 1, r + 0.5 * h * k1)
-        k3 = rhs(2 * i + 1, r + 0.5 * h * k2)
-        k4 = rhs(2 * i + 2, r + h * k3)
-        r = r + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        r = np.einsum("bjk,bk->bj", maps[i], r)
         if i + 1 in steps:
-            out.append(r.copy())
-    return np.array(out)
+            out.append(r.T.copy())
+    return np.array(out), angle
 
 
 class TestComposedStepper:
@@ -311,15 +314,17 @@ class TestComposedStepper:
            n=st.one_of(st.integers(1, 40),
                        st.integers(TREE_STEPS - 3, 2 * TREE_STEPS + 3)),
            stride=st.integers(1, 5000),
-           scale=st.floats(0.0, 0.02))
+           scale=st.floats(0.0, 0.01))
     @example(seed=1, n_runs=1, n=TREE_STEPS + 1, stride=TREE_STEPS,
-             scale=0.02)
+             scale=0.01)
     @example(seed=2, n_runs=TREE_RUNS + 1, n=2 * TREE_STEPS, stride=7,
-             scale=0.02)
-    def test_matches_stagewise_rk4(self, seed, n_runs, n, stride, scale):
-        # random couplings per half-step sample, of rms 0.02/h at most so
-        # that RK4 keeps the norm within about 15%, and random normalised
-        # initial states
+             scale=0.01)
+    # step angles far above MAX_STEP_ANGLE: the run must fail, not drift
+    @example(seed=3, n_runs=2, n=40, stride=9, scale=0.5)
+    def test_matches_per_step_magnus(self, seed, n_runs, n, stride, scale):
+        # random couplings per half-step sample, of rms scale/h, and random
+        # normalised initial states; scale <= 0.01 keeps every step angle
+        # below MAX_STEP_ANGLE = 0.1 by many standard deviations
         rng = np.random.default_rng(seed)
         z0, h = 0.25, 1e-3
         z11 = scale / h * rng.standard_normal((2 * n + 1, n_runs))
@@ -338,10 +343,27 @@ class TestComposedStepper:
                             MatrixKind.FULL, n, h, stride, table(b))
                 for b in range(n_runs)]
         steps = sorted({*range(0, n + 1, stride), n})
-        reference = _rk4_reference(r0, z11, z12, h, steps)
+        reference, angle = _magnus_reference(r0, z11, z12, h, steps)
         for b, traj in enumerate(evolve_batch(runs)):
             assert np.array_equal(traj.z, z0 + np.array(steps) * h)
+            if angle[b] > MAX_STEP_ANGLE:
+                with pytest.raises(AccuracyError, match="drifted by nan"):
+                    check_norm(traj, h)
+                continue
+            check_norm(traj, h)
             assert np.max(np.abs(traj.r - reference[:, :, b])) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(h=st.floats(1e-6, 1.0),
+           samples=hnp.arrays(float, (2, 2 * 16 + 1, 3),
+                              elements=st.floats(-1.0, 1.0)))
+    @example(h=1e-3, samples=np.zeros((2, 33, 3)))
+    def test_step_maps_are_unitary(self, h, samples):
+        # |n_j| <= 0.09/h bounds every step angle by 0.09 + 0.09^2/6
+        a, b = samples * (0.09 / (h * np.sqrt(2)))
+        maps = _step_maps(a, b, h)
+        norm = np.sum(maps * maps, axis=0)
+        assert np.all(np.abs(norm - 1.0) <= 4 * np.finfo(float).eps)
 
 
 class TestQuasiEnergy:
