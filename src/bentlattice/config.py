@@ -264,6 +264,13 @@ def _validate_tier(resolved, tier):
         least = 2 if tier == "bpm" else 1
         if bands["n_bands"] < least:
             raise ConfigError(f"must be >= {least}", "bands.n_bands")
+    if tier == "bpm":
+        num = resolved["numerics"]
+        if not 0 < num["census_threshold"] < 1:
+            raise ConfigError("must be in (0, 1)", "numerics.census_threshold")
+        merge = num.get("census_merge_um")
+        if merge is not None and not merge >= 0:
+            raise ConfigError("must be >= 0", "numerics.census_merge_um")
     if tier == "bands":
         if bands["n_q"] < 1:
             raise ConfigError("must be >= 1", "bands.n_q")

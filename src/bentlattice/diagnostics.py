@@ -19,8 +19,7 @@ from .drive import CM_PER_UM
 from .errors import ParameterError, ShapeError
 from .tight_binding import (Branch, Gauge, LatticeTrajectory, ModeVector,
                             SuperlatticeParams, _branch_vector,
-                            gauge_transform, sublattice_transform,
-                            to_sublattice_pairs)
+                            sublattice_transform, to_sublattice_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +145,27 @@ def lattice_transition_probability(source, params: SuperlatticeParams,
     """Upper-branch power fraction of a lattice state or trajectory.
 
     Bare-gauge input is gauge-transformed first (requires the drive).  A
-    trajectory gives one fraction per snapshot, all snapshots projected in
-    one product.  With q_resolved a state gives the per-momentum fractions
+    state is projected as a single snapshot and gives a float; a trajectory
+    gives one fraction per snapshot, all snapshots projected in one
+    product.  With q_resolved a state gives the per-momentum fractions
     P(q) = |r+|^2/(|r-|^2 + |r+|^2) together with the per-momentum weights;
     a trajectory with q_resolved is rejected.
     """
     if source.gauge is Gauge.BARE and profile is None:
         raise ParameterError("bare-gauge input needs the drive profile")
-    if isinstance(source, LatticeTrajectory):
-        if q_resolved:
-            raise ParameterError(
-                "q_resolved needs a single state; pass one snapshot of the "
-                "trajectory")
-        amplitudes = source.states
-        if source.gauge is Gauge.BARE:
-            # gauge_transform of every snapshot: a_l = c_l exp(+i Phi(z) l)
-            phi = drv.phase(profile, source.z)
-            amplitudes = amplitudes * np.exp(1j * phi[:, None] * params.sites)
-        _, r_minus, r_plus = _band_amplitudes(amplitudes, params)
-        pm = np.sum(np.abs(r_minus) ** 2, axis=-1)
-        pp = np.sum(np.abs(r_plus) ** 2, axis=-1)
-        return pp / (pm + pp)
-    state = source
-    if state.gauge is Gauge.BARE:
-        state = gauge_transform(state, profile, Gauge.GAUGED)
-    qa_values, r_minus, r_plus = lattice_band_amplitudes(state, params)
+    trajectory = isinstance(source, LatticeTrajectory)
+    if q_resolved and trajectory:
+        raise ParameterError(
+            "q_resolved needs a single state; pass one snapshot of the "
+            "trajectory")
+    amplitudes = source.states if trajectory else source.amplitudes
+    if source.gauge is Gauge.BARE:
+        # gauge_transform of each snapshot (a state is one):
+        # a_l = c_l exp(+i Phi(z) l)
+        phi = drv.phase(profile, source.z)
+        amplitudes = amplitudes * np.exp(1j * np.multiply.outer(phi,
+                                                                params.sites))
+    qa_values, r_minus, r_plus = _band_amplitudes(amplitudes, params)
     pm = np.abs(r_minus) ** 2
     pp = np.abs(r_plus) ** 2
     if q_resolved:
@@ -178,7 +173,8 @@ def lattice_transition_probability(source, params: SuperlatticeParams,
         with np.errstate(invalid="ignore", divide="ignore"):
             pq = np.where(weights > 0, pp / weights, 0.0)
         return qa_values, pq, weights / weights.sum()
-    return float(pp.sum() / (pm.sum() + pp.sum()))
+    p = np.sum(pp, axis=-1) / (np.sum(pm, axis=-1) + np.sum(pp, axis=-1))
+    return p if trajectory else float(p)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ each an exact SU(2) exponential.  It serves the two-level tier and every
 periodic lattice run, where each Bloch momentum is its own sublattice
 pair.  ``rk4_evolve`` steps a state vector one RK4 step at a time and
 serves only the hard-wall lattice runs, which do not split by momentum.
+Both take the same arguments: the start z0, the step grid ``(n, h)``, the
+sorted snapshot steps (0 and n included) and an optional ``monitor(i, y)``
+called at each block end of ``half_step_blocks``.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ MAX_STEPS = 10**8
 # and one RK4 step at h |G| = 0.094 drifted the norm by the 1e-8 tolerance
 MAX_STEP_ANGLE = 0.1
 _TINY = np.finfo(float).tiny
-# steps between the in-run checks of the lattice and spinor tiers (power
-# drift, edge density): a fault between snapshots ends the run early
+# steps between the in-run checks of the spinor tier (power drift, edge
+# density): a fault between snapshots ends the run early
 CHECK_EVERY = 200
 
 
@@ -236,26 +239,25 @@ def _advance(y0, coefficients, z0, n, h, steps, monitor=None):
     return out
 
 
-def rk4_evolve(rhs, samples, y0, z0, z1, dz, snapshot_every=None,
-               callback=None):
-    """Integrate dy/dz = rhs(d, y) from z0 to z1 with fixed RK4 steps,
-    one step of the whole state vector at a time.
+def rk4_evolve(rhs, samples, y0, z0, n, h, steps, monitor=None):
+    """Step the state vector ``y0`` of dy/dz = rhs(d, y) from z0 over n
+    fixed RK4 steps of h; return its states after ``steps`` steps (sorted,
+    0 and n included), shaped (len(steps),) + y0.shape.
 
     The drive enters only through ``samples(zs)``, the sequence of drive
     values ``d`` at the half-step samples of a block (``half_step_blocks``).
-    The step comes from ``step_grid``, so the endpoint is hit exactly.
-    Returns ``(z_snapshots, y_snapshots)`` with the initial and final
-    states always included.  ``callback(i_step, z, y)`` runs after every
-    accepted step (used for conservation monitoring).
+    ``monitor(i, y)`` sees the state y after each block's last step i, as
+    in ``_advance``.
     """
-    n, h = step_grid(z1 - z0, dz)
-    snapshot_every = snapshot_stride(snapshot_every, n)
-    zs = [z0]
-    ys = [np.array(y0, copy=True)]
-    y = np.array(y0, copy=True)
+    out = np.empty((len(steps),) + np.shape(y0), dtype=complex)
+    out[0] = y0
+    y = out[0]
+    # the next snapshot index as a Python int, for the test after each step
+    targets = steps.tolist()
+    k = 1
     h2, h6 = 0.5 * h, h / 6.0
-    for i0, i1, z_half in half_step_blocks(z0, n, h):
-        d = samples(z_half)
+    for i0, i1, zs in half_step_blocks(z0, n, h):
+        d = samples(zs)
         for i in range(i0, i1):
             j = 2 * (i - i0)
             k1 = rhs(d[j], y)
@@ -263,10 +265,9 @@ def rk4_evolve(rhs, samples, y0, z0, z1, dz, snapshot_every=None,
             k3 = rhs(d[j + 1], y + h2 * k2)
             k4 = rhs(d[j + 2], y + h * k3)
             y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            z = z0 + (i + 1) * h
-            if callback is not None:
-                callback(i, z, y)
-            if (i + 1) % snapshot_every == 0 or i == n - 1:
-                zs.append(z)
-                ys.append(y)
-    return np.array(zs), np.array(ys)
+            if i + 1 == targets[k]:
+                out[k] = y
+                k += 1
+        if monitor is not None:
+            monitor(i1, y)
+    return out

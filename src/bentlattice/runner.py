@@ -65,37 +65,47 @@ def _self_check(num, summary, label, value, rerun, dz, tol):
             f"(> {tol:.0e}); decrease dz")
 
 
-def _two_level_point(scn: Scenario):
-    """The ``tl.evolve`` arguments of the scenario, dz and the snapshot
-    stride left out, and its numerics section."""
+def _two_level_plan(scn: Scenario, n_snapshots):
+    """The scenario's ``tl.evolve`` arguments (dz and the stride left out),
+    its numerics, its step dz and its validated run, keeping about
+    ``n_snapshots`` snapshots, or only the ends when that is None."""
     params = scn.lattice_params()
     profile = scn.drive_profile()
     q = _q_from_scenario(scn, params.spacing_cm)
     num = scn.section("numerics")
     state = (tl.ground_state(q, params) if scn.branch() is tb.Branch.MINUS
              else tl.TwoLevelState(0j, 1.0 + 0j, 0.0, q))
-    return (state, profile, params, scn.matrix_kind(), num["z_end_cm"]), num
+    args = (state, profile, params, scn.matrix_kind(), num["z_end_cm"])
+    dz, snap = _step_plan(num, default_dz(profile), n_snapshots or 1)
+    run = tl.plan_run(*args, dz=dz,
+                      snapshot_every=None if n_snapshots is None else snap)
+    return args, num, dz, run
+
+
+def _two_level_summary(args, num, dz, run, traj):
+    """Headline values of one two-level run, checked: final norm, finite
+    values and, with ``numerics.self_check``, the rerun at dz/2."""
+    tl.check_norm(traj, run.h)
+    p_final = traj.transition_probability[-1]
+    summary = {"P_final": float(p_final), "phi0": drv.phase_amplitude(args[1])}
+    _check_finite(summary)
+
+    def rerun(h):
+        return tl.evolve(*args, dz=h,
+                         snapshot_every=None).transition_probability[-1]
+
+    _self_check(num, summary, "P_final", p_final, rerun, dz, 1e-6)
+    return summary
 
 
 def _run_two_level(scn: Scenario, out_dir):
-    args, num = _two_level_point(scn)
-    profile = args[1]
-
-    def run(dz, snap=None):
-        return tl.evolve(*args, dz=dz, snapshot_every=snap)
-
-    dz, snap = _step_plan(num, default_dz(profile), 4000)
-    traj = run(dz, snap)
+    args, num, dz, run = _two_level_plan(scn, 4000)
+    traj, = tl.evolve_batch([run])
+    summary = _two_level_summary(args, num, dz, run, traj)
     p = traj.transition_probability
-    summary = {
-        "P_final": float(p[-1]),
-        "P_max": float(p.max()),
-        "z_at_P_max": float(traj.z[np.argmax(p)]),
-        "norm_error": float(np.max(np.abs(traj.norm - 1.0))),
-        "phi0": drv.phase_amplitude(profile),
-    }
-    _self_check(num, summary, "P_final", p[-1],
-                lambda h: run(h).transition_probability[-1], dz, 1e-6)
+    summary["P_max"] = float(p.max())
+    summary["z_at_P_max"] = float(traj.z[np.argmax(p)])
+    summary["norm_error"] = float(np.max(np.abs(traj.norm - 1.0)))
     files = {}
     if out_dir is not None:
         name = f"{scn.prefix}_trajectory.csv"
@@ -249,7 +259,9 @@ def _run_bpm(scn: Scenario, out_dir):
 
     dz, snap = _step_plan(num, bpm_mod.DEFAULT_DZ_CM, 10)
     traj = run(dz, snap)
-    merge_um = num.get("census_merge_um") or 2 * optics.spacing_um
+    merge_um = num.get("census_merge_um")
+    if merge_um is None:
+        merge_um = 2 * optics.spacing_um
     obs = diag.observables_series(traj, band_structure,
                                   threshold=num["census_threshold"],
                                   merge_radius=merge_um)
@@ -385,21 +397,6 @@ def _sweep_point(args):
         return index, None, _error_status(exc)
 
 
-def _batched_point_summary(args, num, dz, run, traj):
-    """Row values of one batched two-level point, checked as a run is."""
-    tl.check_norm(traj, run.h)
-    p_final = traj.transition_probability[-1]
-    summary = {"P_final": float(p_final), "phi0": drv.phase_amplitude(args[1])}
-    _check_finite(summary)
-
-    def rerun(h):
-        return tl.evolve(*args, dz=h,
-                         snapshot_every=None).transition_probability[-1]
-
-    _self_check(num, summary, "P_final", p_final, rerun, dz, 1e-6)
-    return summary
-
-
 def _sweep_two_level(tasks):
     """Two-level sweep points, each resolved and checked as ``_sweep_point``
     does; the points sharing a step grid advance in one batched call.
@@ -409,9 +406,8 @@ def _sweep_two_level(tasks):
     results, groups = [], {}
     for index, point in tasks:
         try:
-            args, num = _two_level_point(Scenario(resolve(point)))
-            dz, _ = _step_plan(num, default_dz(args[1]), 4000)
-            run = tl.plan_run(*args, dz=dz, snapshot_every=None)
+            args, num, dz, run = _two_level_plan(Scenario(resolve(point)),
+                                                 None)
         except BentLatticeError as exc:
             results.append((index, None, _error_status(exc)))
             continue
@@ -421,7 +417,7 @@ def _sweep_two_level(tasks):
         trajs = tl.evolve_batch([point[-1] for point in group])
         for (index, *point), traj in zip(group, trajs):
             try:
-                summary = _batched_point_summary(*point, traj)
+                summary = _two_level_summary(*point, traj)
                 results.append((index, summary, ""))
             except BentLatticeError as exc:
                 results.append((index, None, _error_status(exc)))

@@ -15,7 +15,9 @@ the n/2 momenta as one batch on the composed fourth-order Magnus step
 maps of ``integrate._advance``, unitary per step; a step too coarse for
 the generator fails the power check as NaN.  Hard-wall runs break the
 translation symmetry and step the site amplitudes with RK4,
-``integrate.rk4_evolve``.
+``integrate.rk4_evolve``.  Both boundaries run through one ``_evolve``:
+one step grid, one power monitor at the stepper's block ends, one final
+check over every snapshot.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 from . import drive as drv
 from .drive import CM_PER_UM
 from .errors import AccuracyError, DegenerateGapError, ParameterError
-from .integrate import (CHECK_EVERY, _advance, default_dz, rk4_evolve,
-                        snapshot_steps, snapshot_stride, step_grid)
+from .integrate import (_advance, default_dz, rk4_evolve, snapshot_steps,
+                        snapshot_stride, step_grid)
 
 
 class Gauge(str, Enum):
@@ -288,67 +290,51 @@ def _check_drift(power, z, p0, tol, dz):
             f"{np.atleast_1d(z)[i]:.4g} cm; retry with dz = {dz / 2:.3e}")
 
 
-def _evolve_sites(state, params, profile, z_end, dz, snapshot_every,
-                  rhs_factory, power_tol):
-    """Hard-wall run: RK4 on the site amplitudes, power checked every
-    ``CHECK_EVERY`` steps and at the end."""
-    samples, rhs = rhs_factory(params, profile)
-    p0 = state.power
+def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
+    """Run either gauge on either boundary: plan the step grid and the
+    snapshots once, step, and check the power within 1e-6 at every block
+    end of the stepper and at every snapshot.
 
-    def monitor(i, z, y):
-        if (i + 1) % CHECK_EVERY == 0:
-            _check_drift(np.sum(np.abs(y) ** 2), z, p0, power_tol, dz)
-
-    zs, ys = rk4_evolve(rhs, samples, state.amplitudes.astype(complex),
-                        state.z, z_end, dz, snapshot_every, callback=monitor)
-    _check_drift(np.sum(np.abs(ys[-1]) ** 2), zs[-1], p0, power_tol, dz)
-    return zs, ys
-
-
-def _evolve_bloch(state, params, profile, z_end, dz, snapshot_every,
-                  power_tol):
-    """Periodic run: the n/2 sublattice pairs under
+    A periodic chain steps its n/2 sublattice pairs under
     G_q(z) = [[delta, -2 sigma cos(qa - Phi)], [-2 sigma cos(qa - Phi),
-    -delta]], one batch of the composed stepper; power (Parseval) checked
-    at every block end and every snapshot."""
-    n, h = step_grid(z_end - state.z, dz)
-    steps = snapshot_steps(n, snapshot_stride(snapshot_every, n))
-    qa, transform = sublattice_transform(params)
-    y0 = to_sublattice_pairs(state.amplitudes.astype(complex), transform)
-    a = -params.delta_cm
-    two_sigma = 2 * params.sigma_cm
-    p0 = state.power
-
-    def coefficients(zs):
-        b = np.subtract(qa, drv.phase(profile, zs)[:, None])
-        np.cos(b, out=b)
-        b *= -two_sigma
-        # a = -delta is the same at every sample and momentum
-        return np.broadcast_to(a, b.shape), b
-
-    def monitor(i, y):
-        _check_drift(np.sum(np.abs(y) ** 2), state.z + i * h, p0, power_tol,
-                     dz)
-
-    ys = _advance(y0, coefficients, state.z, n, h, steps, monitor)
-    zs = state.z + steps * h
-    _check_drift(np.sum(np.abs(ys) ** 2, axis=(1, 2)), zs, p0, power_tol, dz)
-    # the first snapshot is the input itself, not its round trip
-    sites = from_sublattice_pairs(ys, transform)
-    sites[0] = state.amplitudes
-    return zs, sites
-
-
-def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary,
-            rhs_factory, power_tol):
+    -delta]] as one batch of ``_advance`` (power by Parseval); hard walls
+    step the site amplitudes with ``rk4_evolve`` under the right-hand side
+    of ``state.gauge``.
+    """
     if dz is None:
         dz = default_dz(profile)
-    if Boundary(boundary) is Boundary.PERIODIC:
-        zs, ys = _evolve_bloch(state, params, profile, z_end, dz,
-                               snapshot_every, power_tol)
+    n, h = step_grid(z_end - state.z, dz)
+    steps = snapshot_steps(n, snapshot_stride(snapshot_every, n))
+    y0 = state.amplitudes.astype(complex)
+    p0 = state.power
+
+    def monitor(i, y):
+        _check_drift(np.sum(np.abs(y) ** 2), state.z + i * h, p0, 1e-6, dz)
+
+    periodic = Boundary(boundary) is Boundary.PERIODIC
+    if periodic:
+        qa, transform = sublattice_transform(params)
+
+        def coefficients(zs):
+            b = np.subtract(qa, drv.phase(profile, zs)[:, None])
+            np.cos(b, out=b)
+            b *= -2 * params.sigma_cm
+            # a = -delta is the same at every sample and momentum
+            return np.broadcast_to(-params.delta_cm, b.shape), b
+
+        ys = _advance(to_sublattice_pairs(y0, transform), coefficients,
+                      state.z, n, h, steps, monitor)
     else:
-        zs, ys = _evolve_sites(state, params, profile, z_end, dz,
-                               snapshot_every, rhs_factory, power_tol)
+        samples, rhs = (_bare_rhs if state.gauge is Gauge.BARE
+                        else _gauged_rhs)(params, profile)
+        ys = rk4_evolve(rhs, samples, y0, state.z, n, h, steps, monitor)
+    zs = state.z + steps * h
+    _check_drift(np.sum(np.abs(ys.reshape(len(steps), -1)) ** 2, axis=1), zs,
+                 p0, 1e-6, dz)
+    if periodic:
+        ys = from_sublattice_pairs(ys, transform)
+        # the first snapshot is the input itself, not its round trip
+        ys[0] = state.amplitudes
     return LatticeTrajectory(zs, ys, state.gauge, params)
 
 
@@ -413,7 +399,7 @@ def evolve_bare(state: ModeVector, params: SuperlatticeParams,
         raise ParameterError("periodic boundaries require a straight axis "
                              "in the bare gauge")
     return _evolve(state, params, profile, z_end, dz, snapshot_every,
-                   boundary, _bare_rhs, power_tol=1e-6)
+                   boundary)
 
 
 def evolve_gauged(state: ModeVector, params: SuperlatticeParams,
@@ -424,4 +410,4 @@ def evolve_gauged(state: ModeVector, params: SuperlatticeParams,
     if state.gauge is not Gauge.GAUGED:
         raise ParameterError("evolve_gauged needs a gauged state")
     return _evolve(state, params, profile, z_end, dz, snapshot_every,
-                   boundary, _gauged_rhs, power_tol=1e-6)
+                   boundary)

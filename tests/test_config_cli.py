@@ -364,13 +364,19 @@ class TestCli:
          2, "config error: bands.n_plane_waves"),
         (["run", "--preset", "fig5b", "--set", "bands.n_bands=1"],
          2, "config error: bands.n_bands"),
+        (["run", "--preset", "fig5b", "--set", "numerics.z_end_cm=0.3",
+          "--set", "numerics.census_threshold=1.5"],
+         2, "config error: numerics.census_threshold"),
+        (["run", "--preset", "fig5b", "--set", "numerics.z_end_cm=0.3",
+          "--set", "numerics.census_merge_um=-1"],
+         2, "config error: numerics.census_merge_um"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
             "empty_sweep_values", "bands_sweep", "sweep_n_target",
             "unread_bands_axis", "sweep_section_axis", "bpm_unread_bands_axis",
             "even_plane_waves", "few_plane_waves", "bpm_even_plane_waves",
-            "bpm_one_band"])
+            "bpm_one_band", "census_threshold", "census_merge_negative"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):
@@ -592,3 +598,15 @@ class TestOtherTierRunners:
             "numerics.grid_points=4096"])
         manifest = run_scenario(scn, None)
         assert 0.0 < manifest["summary"]["self_check_band_populations"] < 1e-4
+
+    def test_bpm_census_merge_zero_is_honoured(self, tmp_path):
+        # a merge radius of 0 merges no segments; read as unset, it would
+        # merge within the default 2 spacings and give the observables of 20
+        observables = []
+        for merge in ("0", "20"):
+            out = tmp_path / merge
+            run_scenario(scenario_from_text(preset_text("fig5b"), overrides=[
+                "numerics.z_end_cm=0.3",
+                f"numerics.census_merge_um={merge}"]), str(out))
+            observables.append((out / "fig5b_observables.csv").read_bytes())
+        assert observables[0] != observables[1]

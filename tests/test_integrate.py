@@ -11,9 +11,11 @@ from bentlattice import DriveProfile, ParameterError
 from bentlattice.bpm import (OpticsParams, TransverseGrid, bpm_run,
                              gaussian_tilted_input)
 from bentlattice.dirac import XiGrid, dirac_evolve, gaussian_spinor_packet
-from bentlattice.integrate import default_dz, snapshot_stride, step_grid
-from bentlattice.tight_binding import (Branch, SuperlatticeParams,
-                                       bloch_mode_state, evolve_gauged)
+from bentlattice.integrate import (BLOCK_STEPS, default_dz, rk4_evolve,
+                                   snapshot_steps, snapshot_stride, step_grid)
+from bentlattice.tight_binding import (Boundary, Branch, Gauge, ModeVector,
+                                       SuperlatticeParams, bloch_mode_state,
+                                       evolve_bare, evolve_gauged)
 from bentlattice.two_level import evolve, ground_state
 
 SRC = Path(bentlattice.__file__).parent
@@ -43,6 +45,55 @@ class TestStepRule:
         assert snapshot_stride(7, 40) == 7
         with pytest.raises(ParameterError):
             snapshot_stride(0, 40)
+
+
+# step counts on either side of the first two block ends
+BLOCK_EDGES = [BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+               2 * BLOCK_STEPS - 1, 2 * BLOCK_STEPS, 2 * BLOCK_STEPS + 1]
+
+
+class TestRk4Stepper:
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    @pytest.mark.parametrize("gauge", [Gauge.BARE, Gauge.GAUGED])
+    def test_hard_wall_states_do_not_depend_on_the_stride(self, n, gauge):
+        params = SuperlatticeParams(2.0, 1.817, n_sites=8)
+        drive = DriveProfile.from_phase_amplitude("sinusoidal", 1.0, 0.6676)
+        mode = bloch_mode_state(params.q_from_qa(np.pi / 4), Branch.MINUS,
+                                params)
+        state = ModeVector(mode.amplitudes, gauge)
+        evolver = evolve_bare if gauge is Gauge.BARE else evolve_gauged
+        runs = {stride: evolver(state, params, drive, n * 1e-3, dz=1e-3,
+                                snapshot_every=stride,
+                                boundary=Boundary.HARD_WALL)
+                for stride in (1, 7, 256, None)}
+        every = runs[1]
+        assert len(every.z) == n + 1
+        for stride, traj in runs.items():
+            steps = snapshot_steps(n, snapshot_stride(stride, n))
+            np.testing.assert_array_equal(traj.z, every.z[steps])
+            np.testing.assert_array_equal(traj.states, every.states[steps])
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_monitor_sees_the_block_ends(self, n):
+        def rhs(d, y):
+            return -1j * (d * y + y[::-1])
+
+        def samples(zs):
+            return np.cos(zs).tolist()
+
+        y0 = np.array([1.0, 0.0], dtype=complex)
+        every = rk4_evolve(rhs, samples, y0, 0.0, n, 1e-2,
+                           snapshot_steps(n, 1))
+        assert every.shape == (n + 1, 2)
+        seen = []
+        ends = rk4_evolve(rhs, samples, y0, 0.0, n, 1e-2,
+                          snapshot_steps(n, n),
+                          lambda i, y: seen.append((i, y)))
+        np.testing.assert_array_equal(ends, every[[0, n]])
+        assert [i for i, _ in seen] == [*range(BLOCK_STEPS, n, BLOCK_STEPS),
+                                        n]
+        for i, y in seen:
+            np.testing.assert_array_equal(y, every[i])
 
 
 def _two_level(drive, **kw):
@@ -147,3 +198,19 @@ def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
     for body in rhs:
         assert not re.search(r"drv\.(phase|force)\(|np\.roll\(", body)
     assert "np.roll(" not in text
+    # both lattice boundaries run one plan: the RK4 stepper takes the
+    # stepper contract of _advance, and only tight_binding.py lays out a
+    # lattice step grid
+    tree = ast.parse((SRC / "integrate.py").read_text(encoding="utf-8"))
+    rk4, = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "rk4_evolve"]
+    assert [a.arg for a in rk4.args.args] == [
+        "rhs", "samples", "y0", "z0", "n", "h", "steps", "monitor"]
+    assert "callback" not in ast.unparse(rk4)
+    calls = [ast.unparse(node.func) for module in ("integrate.py",
+                                                   "tight_binding.py")
+             for node in ast.walk(ast.parse((SRC / module).read_text(
+                 encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    assert calls.count("step_grid") == 1
+    assert "_evolve_sites" not in text and "_evolve_bloch" not in text

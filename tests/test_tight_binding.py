@@ -369,6 +369,41 @@ class TestGaugeEquivalence:
         assert np.max(np.abs(mapped.amplitudes
                              - tb_gauged.final.amplitudes)) < 1e-8
 
+    @settings(max_examples=25, deadline=None)
+    @given(n_sites=st.integers(8, 32).map(lambda k: 2 * k),
+           phi0=st.floats(0.0, 1.0), period=st.floats(1.0, 3.0),
+           qa=st.floats(-np.pi / 2, np.pi / 2), width=st.floats(2.0, 6.0),
+           stride=st.integers(1, 1000))
+    @example(n_sites=64, phi0=1.0, period=1.0, qa=-np.pi / 2, width=6.0,
+             stride=1)
+    def test_bare_snapshots_map_onto_the_gauged_run(self, n_sites, phi0,
+                                                     period, qa, width,
+                                                     stride):
+        # the bare and gauged hard-wall equations are one model in two
+        # gauges, so gauge_transform carries every bare snapshot onto the
+        # gauged run up to the two RK4 errors; the bare site-linear term
+        # F l reaches 2 pi phi0 / period * n_sites / 2 = 200 /cm, and the
+        # worst case measured over the corners of these ranges is 1.3e-7,
+        # in the amplitudes and in the upper-branch fraction
+        params = SuperlatticeParams(2.0, 1.817, n_sites=n_sites)
+        drive = DriveProfile.from_phase_amplitude("sinusoidal", phi0, period)
+        packet = gaussian_packet_state(params.q_from_qa(qa), width, params,
+                                       gauge=Gauge.GAUGED)
+        bare0 = ModeVector(packet.amplitudes.copy(), Gauge.BARE, 0.0)
+        kw = dict(dz=2.5e-4, snapshot_every=stride,
+                  boundary=Boundary.HARD_WALL)
+        bare = evolve_bare(bare0, params, drive, 0.25, **kw)
+        gauged = evolve_gauged(packet, params, drive, 0.25, **kw)
+        np.testing.assert_array_equal(bare.z, gauged.z)
+        for z, c, a in zip(bare.z, bare.states, gauged.states):
+            mapped = gauge_transform(ModeVector(c, Gauge.BARE, z), drive,
+                                     Gauge.GAUGED)
+            assert np.max(np.abs(mapped.amplitudes - a)) < 1e-6
+        # the projection's own bare-to-gauged phase agrees, at every Phi(z)
+        p_bare = lattice_transition_probability(bare, params, drive)
+        p_gauged = lattice_transition_probability(gauged, params)
+        assert np.max(np.abs(p_bare - p_gauged)) < 1e-6
+
     def test_single_cycle_edge_jump_is_first_order(self, params):
         # the single-cycle force jumps at the cycle edge, so a fixed-step
         # integration of the bare form carries one O(dz) sample there; the
