@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .bpm import ChannelShape, OpticsParams
 from .drive import DriveKind, DriveProfile
 from .errors import ConfigError
+from .fieldio import format_float
 from .tight_binding import Boundary, Branch, Gauge, SuperlatticeParams
 from .two_level import MatrixKind
 
@@ -142,9 +143,9 @@ def _format_value(kind, value):
     if kind == "bool":
         return "1" if value else "0"
     if kind == "float":
-        return f"{float(value):.17g}"
+        return format_float(value)
     if kind == "floats":
-        return ",".join(f"{float(v):.17g}" for v in value)
+        return ",".join(map(format_float, value))
     return str(value)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import drive as drv
 from .errors import DegenerateGapError, DomainError, ParameterError, ShapeError
-from .integrate import CHECK_EVERY, default_dz, snapshot_stride, step_grid
+from .integrate import BLOCK_STEPS, default_dz, snapshot_stride, step_grid
 from .tight_binding import Branch, Gauge, ModeVector, SuperlatticeParams
 
 
@@ -190,9 +190,9 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
     pair exp(-+i chi) and the mass exp(-i delta h beta) mixes the pair with
     scalar coefficients; adjacent half-mass steps are fused.  FFTs run only
     on the steps that need real space.  Raises DomainError when the packet
-    support reaches the grid edge (checked at every snapshot and every
-    ``CHECK_EVERY`` steps; the grid is periodic, so overflow means
-    wrap-around contamination).
+    support reaches the grid edge (checked at every snapshot and at the end
+    of every block of ``BLOCK_STEPS`` steps; the grid is periodic, so
+    overflow means wrap-around contamination).
     """
     if dz is None:
         dz = default_dz(profile)
@@ -221,8 +221,8 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
     free = np.exp(-1j * sigma * h * field.grid.k)
     free = np.stack([free, np.conj(free)])
     u = enter @ np.fft.fft(np.stack([p1, p2]))
-    for start in range(0, n_steps, CHECK_EVERY):
-        stop = min(start + CHECK_EVERY, n_steps)
+    for start in range(0, n_steps, BLOCK_STEPS):
+        stop = min(start + BLOCK_STEPS, n_steps)
         z0 = field.z + np.arange(start, stop) * h
         # exp(-i chi) = free * kick: the drive's share of each rotation,
         # followed by the fused mass step
@@ -231,7 +231,7 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
         for i in range(start, stop):
             u = maps[i - start] @ (free * u)
             snapshot = (i + 1) % snapshot_every == 0 or i == n_steps - 1
-            if snapshot or (i + 1) % CHECK_EVERY == 0:
+            if snapshot or (i + 1) % BLOCK_STEPS == 0:
                 z = field.z + (i + 1) * h
                 p1, p2 = np.fft.ifft(leave @ u)
                 if _edge_density_fraction(

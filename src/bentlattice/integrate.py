@@ -27,7 +27,8 @@ import numpy as np
 from . import drive as drv
 from .errors import ParameterError
 
-# steps per block of drive samples on the half-step grid
+# steps per block of drive samples on the half-step grid and between the
+# in-run checks of hard-wall lattice runs and the spinor tier
 BLOCK_STEPS = 256
 # steps per block of the composed stepper for up to TREE_RUNS columns; a
 # wider batch takes blocks shorter by the power of two that keeps a block's
@@ -45,9 +46,6 @@ MAX_STEPS = 10**8
 # and one RK4 step at h |G| = 0.094 drifted the norm by the 1e-8 tolerance
 MAX_STEP_ANGLE = 0.1
 _TINY = np.finfo(float).tiny
-# steps between the in-run checks of the spinor tier (power drift, edge
-# density): a fault between snapshots ends the run early
-CHECK_EVERY = 200
 
 
 def default_dz(profile: drv.DriveProfile) -> float:

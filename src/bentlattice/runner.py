@@ -36,7 +36,7 @@ def _q_from_scenario(scn: Scenario, spacing_cm):
 
 
 # ---------------------------------------------------------------------------
-# tier runners: each returns (files, summary); files maps name -> writer
+# tier runners: each returns (files, summary); files lists the names written
 # ---------------------------------------------------------------------------
 
 def _step_plan(num, tier_dz, n_snapshots):
@@ -106,14 +106,15 @@ def _run_two_level(scn: Scenario, out_dir):
     summary["P_max"] = float(p.max())
     summary["z_at_P_max"] = float(traj.z[np.argmax(p)])
     summary["norm_error"] = float(np.max(np.abs(traj.norm - 1.0)))
-    files = {}
+    files = []
     if out_dir is not None:
         name = f"{scn.prefix}_trajectory.csv"
-        rows = [(z, pp, r[0].real, r[0].imag, r[1].real, r[1].imag)
-                for z, pp, r in zip(traj.z, p, traj.r)]
+        r = traj.r
+        table = np.column_stack([traj.z, p, r[:, 0].real, r[:, 0].imag,
+                                 r[:, 1].real, r[:, 1].imag])
         write_csv(os.path.join(out_dir, name),
-                  ["z_cm", "P", "re_rm", "im_rm", "re_rp", "im_rp"], rows)
-        files[name] = None
+                  ["z_cm", "P", "re_rm", "im_rm", "re_rp", "im_rp"], table)
+        files.append(name)
     return files, summary
 
 
@@ -125,20 +126,6 @@ def _lattice_input_state(scn: Scenario, params, gauge):
         return tb.bloch_mode_state(q, branch, params, gauge)
     return tb.gaussian_packet_state(q, inp["width_sites"], params, branch,
                                     center_site=inp["center_site"], gauge=gauge)
-
-
-class _SizedRows:
-    """CSV rows made one at a time while they are written, with their
-    count for callers that take ``len(rows)``."""
-
-    def __init__(self, count, rows):
-        self._count, self._rows = count, rows
-
-    def __len__(self):
-        return self._count
-
-    def __iter__(self):
-        return iter(self._rows)
 
 
 def _run_tight_binding(scn: Scenario, out_dir):
@@ -168,20 +155,19 @@ def _run_tight_binding(scn: Scenario, out_dir):
     _self_check(num, summary, "P_final", p_of_z[-1],
                 lambda h: diag.lattice_transition_probability(
                     run(h).final, params, profile), dz, 1e-6)
-    files = {}
+    files = []
     if out_dir is not None:
-        sites = params.sites.astype(float).tolist()
         name = f"{scn.prefix}_sites.csv"
-        rows = _SizedRows(
-            traj.states.size,
-            ((z, site, c.real, c.imag)
-             for z, states in zip(traj.z.tolist(), traj.states)
-             for site, c in zip(sites, states.tolist())))
-        write_csv(os.path.join(out_dir, name), ["z", "site", "re", "im"], rows)
+        n_z, n_sites = traj.states.shape
+        table = np.column_stack([
+            np.repeat(traj.z, n_sites), np.tile(params.sites, n_z),
+            traj.states.real.ravel(), traj.states.imag.ravel()])
+        write_csv(os.path.join(out_dir, name), ["z", "site", "re", "im"],
+                  table)
         name2 = f"{scn.prefix}_transition.csv"
         write_csv(os.path.join(out_dir, name2), ["z_cm", "P"],
-                  list(zip(traj.z, p_of_z)))
-        files[name] = files[name2] = None
+                  np.column_stack([traj.z, p_of_z]))
+        files += [name, name2]
     return files, summary
 
 
@@ -215,19 +201,19 @@ def _run_dirac(scn: Scenario, out_dir):
     _self_check(num, summary, "plus_weight", weights[-1][1],
                 lambda h: dirac_mod.band_weights(run(h).final, params)[1],
                 dz, 1e-4)
-    files = {}
+    files = []
     if out_dir is not None:
-        rows = [(z, w[0], w[1], nn) for z, w, nn in zip(traj.z, weights, norms)]
         name = f"{scn.prefix}_weights.csv"
         write_csv(os.path.join(out_dir, name),
-                  ["z_cm", "w_minus", "w_plus", "norm"], rows)
-        files[name] = None
+                  ["z_cm", "w_minus", "w_plus", "norm"],
+                  np.column_stack([traj.z, weights, norms]))
+        files.append(name)
         for i, z in enumerate(traj.z):
             name = f"{scn.prefix}_spinor{i:04d}.bin"
             write_field_dump(os.path.join(out_dir, name),
                              [traj.psi1[i], traj.psi2[i]],
                              grid.xi_min, grid.xi_min + grid.span, z)
-            files[name] = None
+            files.append(name)
     return files, summary
 
 
@@ -279,7 +265,7 @@ def _run_bpm(scn: Scenario, out_dir):
     _self_check(num, summary, "band_populations", final_pops,
                 lambda h: diag.band_populations(run(h).final, band_structure,
                                                 2), dz, 1e-4)
-    files = {}
+    files = []
     if out_dir is not None:
         rows = []
         for o in obs:
@@ -293,16 +279,16 @@ def _run_bpm(scn: Scenario, out_dir):
         write_csv(os.path.join(out_dir, name),
                   ["z_cm", "band1", "band2", "remainder", "centroid_um",
                    "n_packets"], rows)
-        files[name] = None
+        files.append(name)
         for i, z in enumerate(traj.z):
             bname = f"{scn.prefix}_field{i:04d}.bin"
             write_field_dump(os.path.join(out_dir, bname), [traj.fields[i]],
                              grid.x_min_um, grid.x_min_um + grid.width_um, z)
-            files[bname] = None
             cname = f"{scn.prefix}_intensity{i:04d}.csv"
             write_csv(os.path.join(out_dir, cname), ["x_um", "intensity"],
-                      list(zip(grid.x_um, np.abs(traj.fields[i]) ** 2)))
-            files[cname] = None
+                      np.column_stack([grid.x_um,
+                                       np.abs(traj.fields[i]) ** 2]))
+            files += [bname, cname]
     return files, summary
 
 
@@ -320,18 +306,18 @@ def _run_bands(scn: Scenario, out_dir):
         "fit_rms_residual": fit.rms_residual,
         "gap_edge_cm": float(structure.half_splitting().min()),
     }
-    files = {}
+    files = []
     if out_dir is not None:
         a_cm = optics.spacing_um * CM_PER_UM
-        rows = []
-        for b in range(structure.n_bands):
-            for i, q in enumerate(structure.q_values):
-                rows.append((q * a_cm / np.pi, float(b + 1),
-                             structure.omega[b, i]))
+        n_bands, n_q = structure.omega.shape
+        table = np.column_stack([
+            np.tile(structure.q_values * a_cm / np.pi, n_bands),
+            np.repeat(np.arange(1.0, n_bands + 1), n_q),
+            structure.omega.ravel()])
         name = f"{scn.prefix}_bands.csv"
         write_csv(os.path.join(out_dir, name),
-                  ["qa_over_pi", "band_index", "omega_cm_inv"], rows)
-        files[name] = None
+                  ["qa_over_pi", "band_index", "omega_cm_inv"], table)
+        files.append(name)
         if cfg["dump_modes"]:
             iq = cfg["mode_q_index"]
             if iq < 0:
@@ -341,7 +327,7 @@ def _run_bands(scn: Scenario, out_dir):
                 mname = f"{scn.prefix}_mode_q{iq}_band{b + 1}.bin"
                 write_field_dump(os.path.join(out_dir, mname), [u],
                                  0.0, 2 * optics.spacing_um, 0.0)
-                files[mname] = None
+                files.append(mname)
     return files, summary
 
 
@@ -447,12 +433,12 @@ def _run_sweep(scn: Scenario, out_dir, jobs=1):
         rows.append((phi0, point["drive"]["period_cm"],
                      point["input"]["qa_over_pi"] * np.pi,
                      point[section][key], p_final, status or "ok"))
-    files = {}
+    files = []
     if out_dir is not None:
         name = f"{scn.prefix}_sweep.csv"
         write_csv(os.path.join(out_dir, name),
                   ["phi0", "lambda_cm", "qa", axis, "P_final", "status"], rows)
-        files[name] = None
+        files.append(name)
     summary = {
         "n_points": len(rows),
         "n_failed": sum(row[5] != "ok" for row in rows),
@@ -512,7 +498,7 @@ def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
         cfg_name = f"{scn.prefix}_resolved.cfg"
         with open(os.path.join(out_dir, cfg_name), "w", encoding="utf-8") as fh:
             fh.write(resolved_text)
-        files[cfg_name] = None
+        files.append(cfg_name)
         manifest["outputs"] = {
             name: _sha256_file(os.path.join(out_dir, name))
             for name in sorted(files)

@@ -158,8 +158,9 @@ class TestLatticeProjection:
 
     @pytest.mark.parametrize("gauge", [Gauge.GAUGED, Gauge.BARE])
     def test_trajectory_equals_per_snapshot_loop(self, params, gauge):
+        from bentlattice.diagnostics import lattice_band_amplitudes
         from bentlattice.tight_binding import (Boundary, evolve_bare,
-                                               evolve_gauged,
+                                               evolve_gauged, gauge_transform,
                                                gaussian_packet_state)
         drive = DriveProfile.from_phase_amplitude("sinusoidal", 0.4, 2.8556)
         state = gaussian_packet_state(params.q_from_qa(np.pi / 4), 6.0,
@@ -168,9 +169,16 @@ class TestLatticeProjection:
         traj = evolver(state, params, drive, 1.0, dz=2.8556 / 4000,
                        snapshot_every=100, boundary=Boundary.HARD_WALL)
         batched = lattice_transition_probability(traj, params, drive)
-        looped = [lattice_transition_probability(
-            ModeVector(traj.states[i], gauge, float(traj.z[i])), params,
-            drive) for i in range(len(traj.z))]
+
+        # each snapshot taken to the gauged frame and projected on its own
+        def upper_fraction(i):
+            snapshot = ModeVector(traj.states[i], gauge, float(traj.z[i]))
+            _, r_minus, r_plus = lattice_band_amplitudes(
+                gauge_transform(snapshot, drive, Gauge.GAUGED), params)
+            pm, pp = np.sum(np.abs(r_minus) ** 2), np.sum(np.abs(r_plus) ** 2)
+            return pp / (pm + pp)
+
+        looped = [upper_fraction(i) for i in range(len(traj.z))]
         assert batched.shape == (len(traj.z),)
         assert np.max(np.abs(batched - looped)) < 1e-14
         assert np.max(batched) > 1e-3  # the drive moved power upwards

@@ -17,7 +17,7 @@ from bentlattice.dirac import (SpinorField, XiGrid, band_weights, branch_spinor,
                                spinor_from_lattice)
 from bentlattice.diagnostics import (lattice_transition_probability,
                                      packet_census)
-from bentlattice.integrate import (CHECK_EVERY, default_dz, snapshot_stride,
+from bentlattice.integrate import (BLOCK_STEPS, default_dz, snapshot_stride,
                                    step_grid)
 from bentlattice.tight_binding import (ModeVector, bloch_mode_state,
                                        dispersion, evolve_gauged,
@@ -197,7 +197,7 @@ def _reference_evolve(field, profile, params, z_end, dz=None,
         p2 = np.fft.ifft(c * f2 - 1j * s * f1) * ep
         z = field.z + (i + 1) * h
         snapshot = (i + 1) % snapshot_every == 0 or i == n_steps - 1
-        if snapshot or (i + 1) % CHECK_EVERY == 0:
+        if snapshot or (i + 1) % BLOCK_STEPS == 0:
             now = SpinorField(p1, p2, field.grid, z)
             if dirac._edge_density_fraction(now) > edge_tol:
                 raise DomainError(
@@ -214,8 +214,10 @@ class TestMomentumSpaceStepper:
 
     @pytest.mark.parametrize("kind", ["single_cycle", "sinusoidal"])
     @pytest.mark.parametrize("snapshot_every", [1, 7, None])
-    @pytest.mark.parametrize("n_steps", [1, CHECK_EVERY - 1, CHECK_EVERY,
-                                         CHECK_EVERY + 1, 2 * CHECK_EVERY + 37])
+    # step counts around the block ends, and counts that fall between them
+    @pytest.mark.parametrize("n_steps", [1, 199, 200, 201, 437,
+                                         BLOCK_STEPS - 1, BLOCK_STEPS,
+                                         BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 37])
     def test_matches_real_space_loop(self, params, kind, snapshot_every,
                                      n_steps):
         lam = 0.6676
@@ -255,10 +257,10 @@ class TestMomentumSpaceStepper:
                and node.name == "dirac_evolve"]
         loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
         assert [ast.unparse(node.iter) for node in loops] == [
-            "range(0, n_steps, CHECK_EVERY)", "range(start, stop)"]
+            "range(0, n_steps, BLOCK_STEPS)", "range(start, stop)"]
         checks = [node for node in ast.walk(loops[0])
                   if isinstance(node, ast.If) and ast.unparse(node.test)
-                  == "snapshot or (i + 1) % CHECK_EVERY == 0"]
+                  == "snapshot or (i + 1) % BLOCK_STEPS == 0"]
         assert len(checks) == 1
         guarded = {id(node) for node in ast.walk(checks[0])}
         ffts = [node for node in ast.walk(loops[0])

@@ -5,8 +5,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bentlattice import ShapeError
-from bentlattice.fieldio import (format_float, read_csv, read_field_dump,
-                                 write_csv, write_field_dump)
+from bentlattice.fieldio import (_CHUNK_ROWS, format_float, read_csv,
+                                 read_field_dump, write_csv, write_field_dump)
+
+# NaN, -NaN, +-inf, +-0.0, the smallest and largest subnormals and the
+# smallest normal, as float64 bits
+_SPECIAL_BITS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                          5e-324, -2.2250738585072009e-308,
+                          2.2250738585072014e-308]).view(np.uint64).tolist()
+_ANY_BITS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS))
+
+
+def _reference_csv(header, rows):
+    """The dialect written one value at a time."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else f"{float(v):.17g}"
+                       for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 class TestCsv:
@@ -42,6 +57,41 @@ class TestCsv:
     def test_format_is_17_digits(self):
         x = 0.12345678901234567
         assert float(format_float(x)) == x
+
+    # each example overwrites the one CSV file of the shared tmp_path
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n_cols=st.integers(1, 6),
+           n_rows=st.one_of(st.sampled_from([0, 1, _CHUNK_ROWS - 1,
+                                             _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                             2 * _CHUNK_ROWS + 3]),
+                            st.integers(0, 3 * _CHUNK_ROWS)))
+    def test_float_array_matches_per_value_reference(self, tmp_path, data,
+                                                     n_cols, n_rows):
+        # a drawn block of any float64 bits, repeated to n_rows rows
+        bits = data.draw(hnp.arrays(np.uint64, (data.draw(
+            st.integers(1, 16)), n_cols), elements=_ANY_BITS))
+        table = np.resize(bits, (n_rows, n_cols)).view(np.float64)
+        header = [f"c{j}" for j in range(n_cols)]
+        path = tmp_path / "block.csv"
+        write_csv(path, header, table)
+        assert path.read_bytes() == _reference_csv(header, table.tolist())
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(
+        st.lists(_ANY_BITS.map(
+            lambda b: float(np.array(b, np.uint64).view(np.float64))),
+            max_size=8),
+        st.one_of(st.none(), st.sampled_from(["ok", "error:AccuracyError"]),
+                  st.text("abcxyz:_", max_size=12))), max_size=20))
+    def test_rows_match_per_value_reference(self, tmp_path, rows):
+        # ragged rows, some ending in a text cell
+        rows = [values + ([text] if text is not None else [])
+                for values, text in rows]
+        path = tmp_path / "rows.csv"
+        write_csv(path, ["z", "status"], rows)
+        assert path.read_bytes() == _reference_csv(["z", "status"], rows)
 
 
 class TestFieldDump:

@@ -214,3 +214,13 @@ def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
              if isinstance(node, ast.Call)]
     assert calls.count("step_grid") == 1
     assert "_evolve_sites" not in text and "_evolve_bloch" not in text
+
+
+def test_source_holds_one_float_format_and_one_check_cadence():
+    # fieldio alone spells the float format of every text output, tables
+    # are handed to it as arrays, and the spinor tier checks its grid edge
+    # at the stepper's block ends
+    text = _source_text()
+    assert len(re.findall(r"\.17g", text)) == 1
+    assert "_SizedRows" not in text
+    assert "CHECK_EVERY" not in text
