@@ -96,6 +96,7 @@ class TransverseGrid:
     def for_cells(cls, optics: OpticsParams, n_cells: int = 41,
                   n_points: int = 4096) -> "TransverseGrid":
         """Window spanning a whole number of 2a cells (needed for projections)."""
+        require_positive(grid_cells=n_cells, grid_points=n_points)
         width = n_cells * 2 * optics.spacing_um
         return cls(-width / 2, width / n_points, n_points)
 
@@ -205,8 +206,7 @@ def gaussian_tilted_input(w0_um: float, theta_rad: float, optics: OpticsParams,
     the absorber margin; narrower windows raise DomainError.  A spot below
     the grid spacing would be a one-point spike, so it is rejected.
     """
-    if w0_um <= 0:
-        raise ParameterError("spot size must be positive")
+    require_positive(w0_um=w0_um)
     if w0_um < grid.dx_um:
         raise ParameterError(f"spot size w0_um = {w0_um!r} is below the grid "
                              f"spacing dx = {grid.dx_um!r} um")

@@ -111,6 +111,10 @@ SCHEMA = {
 
 _SECTION_ORDER = tuple(SCHEMA)
 
+# point ceiling of a start/stop/step sweep, about 1000 times fig3's 161: a
+# range above it is a mistyped step whose point list would exhaust memory
+MAX_SWEEP_POINTS = 161_000
+
 
 def _parse_value(kind, text, path):
     text = text.strip()
@@ -231,6 +235,7 @@ def _validate_tier(resolved, tier):
             if sweep["stop"] < sweep["start"]:
                 raise ConfigError("sweep stop must not be below start",
                                   "sweep.stop")
+            sweep_point_count(sweep)  # raises above the ceiling
         elif not sweep["values"]:
             raise ConfigError("sweep needs at least one value", "sweep.values")
         axis = sweep["axis"]
@@ -290,6 +295,15 @@ def _validate_tier(resolved, tier):
     if drive["kind"] == "tabulated":
         _require(resolved, "drive", "table_z_cm")
         _require(resolved, "drive", "table_phi")
+
+
+def sweep_point_count(sweep) -> int:
+    """Point count of a start/stop/step range, at most MAX_SWEEP_POINTS."""
+    steps = (sweep["stop"] - sweep["start"]) / sweep["step"] + 1e-9
+    if not steps < MAX_SWEEP_POINTS:
+        raise ConfigError(f"gives {steps + 1:.3g} points, above the ceiling "
+                          f"of {MAX_SWEEP_POINTS}", "sweep.step")
+    return int(steps) + 1
 
 
 def canonical_dump(resolved: dict) -> str:

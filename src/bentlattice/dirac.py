@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import drive as drv
-from .errors import DegenerateGapError, DomainError, ParameterError, ShapeError
+from .errors import (DegenerateGapError, DomainError, ParameterError,
+                     ShapeError, require_positive)
 from .integrate import BLOCK_STEPS, default_dz, snapshot_stride, step_grid
 from .tight_binding import Branch, Gauge, ModeVector, SuperlatticeParams
 
@@ -37,6 +38,7 @@ class XiGrid:
 
     @classmethod
     def centered(cls, span: float, n: int) -> "XiGrid":
+        require_positive(xi_span=span, n_points=n)
         return cls(-span / 2.0, span / float(n), n)
 
     @property

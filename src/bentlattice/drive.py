@@ -98,6 +98,7 @@ class DriveProfile:
     def from_phase_amplitude(cls, kind, phi0, period_cm, n_s=1.42,
                              wavelength_cm=633e-7, spacing_um=10.0):
         """Build a (single-cycle) sinusoid whose phase amplitude equals phi0."""
+        require_positive(n_s=n_s, spacing_um=spacing_um)
         a_cm = spacing_um * CM_PER_UM
         amp_cm = phi0 * wavelength_cm * period_cm / (4 * np.pi**2 * n_s * a_cm)
         return cls(DriveKind(kind), amp_cm / CM_PER_UM, period_cm, n_s,

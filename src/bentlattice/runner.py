@@ -1,9 +1,9 @@
 """Scenario execution: tier dispatch, output files, manifest, sweeps.
 
-Every run resolves its configuration first, executes deterministically
-(fixed steps, no RNG anywhere), writes its outputs plus a canonical
-``resolved.cfg`` and a ``manifest.json`` with SHA-256 checksums, and leaves
-re-runs bit-identical.
+Every run resolves its configuration first and executes deterministically
+(fixed steps, no RNG anywhere).  Once the summary passes its checks,
+``run_scenario`` alone writes the tier's outputs, a canonical ``resolved.cfg``
+and a ``manifest.json`` with SHA-256 checksums; re-runs stay bit-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from . import dirac as dirac_mod
 from . import drive as drv
 from . import tight_binding as tb
 from . import two_level as tl
-from .config import SCHEMA, Scenario, canonical_dump, resolve
+from .config import (SCHEMA, Scenario, canonical_dump, resolve,
+                     sweep_point_count)
 from .drive import CM_PER_UM
 from .errors import AccuracyError, BentLatticeError, ConfigError
 from .fieldio import write_csv, write_field_dump
@@ -36,7 +37,8 @@ def _q_from_scenario(scn: Scenario, spacing_cm):
 
 
 # ---------------------------------------------------------------------------
-# tier runners: each returns (files, summary); files lists the names written
+# tier runners: each returns (summary, outputs); outputs lazily yields
+# (suffix, writer, args), written as writer(f"{prefix}_{suffix}" path, *args)
 # ---------------------------------------------------------------------------
 
 def _step_plan(num, tier_dz, n_snapshots):
@@ -98,7 +100,7 @@ def _two_level_summary(args, num, dz, run, traj):
     return summary
 
 
-def _run_two_level(scn: Scenario, out_dir):
+def _run_two_level(scn: Scenario):
     args, num, dz, run = _two_level_plan(scn, 4000)
     traj, = tl.evolve_batch([run])
     summary = _two_level_summary(args, num, dz, run, traj)
@@ -106,16 +108,14 @@ def _run_two_level(scn: Scenario, out_dir):
     summary["P_max"] = float(p.max())
     summary["z_at_P_max"] = float(traj.z[np.argmax(p)])
     summary["norm_error"] = float(np.max(np.abs(traj.norm - 1.0)))
-    files = []
-    if out_dir is not None:
-        name = f"{scn.prefix}_trajectory.csv"
+
+    def outputs():
         r = traj.r
-        table = np.column_stack([traj.z, p, r[:, 0].real, r[:, 0].imag,
-                                 r[:, 1].real, r[:, 1].imag])
-        write_csv(os.path.join(out_dir, name),
-                  ["z_cm", "P", "re_rm", "im_rm", "re_rp", "im_rp"], table)
-        files.append(name)
-    return files, summary
+        yield "trajectory.csv", write_csv, (
+            ["z_cm", "P", "re_rm", "im_rm", "re_rp", "im_rp"],
+            np.column_stack([traj.z, p, r[:, 0].real, r[:, 0].imag,
+                             r[:, 1].real, r[:, 1].imag]))
+    return summary, outputs()
 
 
 def _lattice_input_state(scn: Scenario, params, gauge):
@@ -128,7 +128,7 @@ def _lattice_input_state(scn: Scenario, params, gauge):
                                     center_site=inp["center_site"], gauge=gauge)
 
 
-def _run_tight_binding(scn: Scenario, out_dir):
+def _run_tight_binding(scn: Scenario):
     params = scn.lattice_params()
     profile = scn.drive_profile()
     num = scn.section("numerics")
@@ -155,23 +155,19 @@ def _run_tight_binding(scn: Scenario, out_dir):
     _self_check(num, summary, "P_final", p_of_z[-1],
                 lambda h: diag.lattice_transition_probability(
                     run(h).final, params, profile), dz, 1e-6)
-    files = []
-    if out_dir is not None:
-        name = f"{scn.prefix}_sites.csv"
+
+    def outputs():
         n_z, n_sites = traj.states.shape
-        table = np.column_stack([
-            np.repeat(traj.z, n_sites), np.tile(params.sites, n_z),
-            traj.states.real.ravel(), traj.states.imag.ravel()])
-        write_csv(os.path.join(out_dir, name), ["z", "site", "re", "im"],
-                  table)
-        name2 = f"{scn.prefix}_transition.csv"
-        write_csv(os.path.join(out_dir, name2), ["z_cm", "P"],
-                  np.column_stack([traj.z, p_of_z]))
-        files += [name, name2]
-    return files, summary
+        yield "sites.csv", write_csv, (
+            ["z", "site", "re", "im"], np.column_stack([
+                np.repeat(traj.z, n_sites), np.tile(params.sites, n_z),
+                traj.states.real.ravel(), traj.states.imag.ravel()]))
+        yield "transition.csv", write_csv, (
+            ["z_cm", "P"], np.column_stack([traj.z, p_of_z]))
+    return summary, outputs()
 
 
-def _run_dirac(scn: Scenario, out_dir):
+def _run_dirac(scn: Scenario):
     params = scn.lattice_params()
     profile = scn.drive_profile()
     num = scn.section("numerics")
@@ -201,23 +197,19 @@ def _run_dirac(scn: Scenario, out_dir):
     _self_check(num, summary, "plus_weight", weights[-1][1],
                 lambda h: dirac_mod.band_weights(run(h).final, params)[1],
                 dz, 1e-4)
-    files = []
-    if out_dir is not None:
-        name = f"{scn.prefix}_weights.csv"
-        write_csv(os.path.join(out_dir, name),
-                  ["z_cm", "w_minus", "w_plus", "norm"],
-                  np.column_stack([traj.z, weights, norms]))
-        files.append(name)
+
+    def outputs():
+        yield "weights.csv", write_csv, (
+            ["z_cm", "w_minus", "w_plus", "norm"],
+            np.column_stack([traj.z, weights, norms]))
         for i, z in enumerate(traj.z):
-            name = f"{scn.prefix}_spinor{i:04d}.bin"
-            write_field_dump(os.path.join(out_dir, name),
-                             [traj.psi1[i], traj.psi2[i]],
-                             grid.xi_min, grid.xi_min + grid.span, z)
-            files.append(name)
-    return files, summary
+            yield f"spinor{i:04d}.bin", write_field_dump, (
+                [traj.psi1[i], traj.psi2[i]],
+                grid.xi_min, grid.xi_min + grid.span, z)
+    return summary, outputs()
 
 
-def _run_bpm(scn: Scenario, out_dir):
+def _run_bpm(scn: Scenario):
     optics = scn.optics_params()
     profile = scn.drive_profile()
     num = scn.section("numerics")
@@ -245,12 +237,9 @@ def _run_bpm(scn: Scenario, out_dir):
 
     dz, snap = _step_plan(num, bpm_mod.DEFAULT_DZ_CM, 10)
     traj = run(dz, snap)
-    merge_um = num.get("census_merge_um")
-    if merge_um is None:
-        merge_um = 2 * optics.spacing_um
     obs = diag.observables_series(traj, band_structure,
                                   threshold=num["census_threshold"],
-                                  merge_radius=merge_um)
+                                  merge_radius=num.get("census_merge_um"))
     final_pops = diag.band_populations(traj.final, band_structure, 2)
     summary = {
         "band1_final": float(final_pops[0]),
@@ -265,8 +254,8 @@ def _run_bpm(scn: Scenario, out_dir):
     _self_check(num, summary, "band_populations", final_pops,
                 lambda h: diag.band_populations(run(h).final, band_structure,
                                                 2), dz, 1e-4)
-    files = []
-    if out_dir is not None:
+
+    def outputs():
         rows = []
         for o in obs:
             row = [o.z, *o.band_power, o.remainder, o.centroid_x,
@@ -275,24 +264,21 @@ def _run_bpm(scn: Scenario, out_dir):
                 row.extend([p.center, p.power,
                             p.velocity if p.velocity is not None else 0.0])
             rows.append(row)
-        name = f"{scn.prefix}_observables.csv"
-        write_csv(os.path.join(out_dir, name),
-                  ["z_cm", "band1", "band2", "remainder", "centroid_um",
-                   "n_packets"], rows)
-        files.append(name)
+        yield "observables.csv", write_csv, (
+            ["z_cm", "band1", "band2", "remainder", "centroid_um",
+             "n_packets"], rows)
+        # each snapshot's table is built as it is written: one at a time
         for i, z in enumerate(traj.z):
-            bname = f"{scn.prefix}_field{i:04d}.bin"
-            write_field_dump(os.path.join(out_dir, bname), [traj.fields[i]],
-                             grid.x_min_um, grid.x_min_um + grid.width_um, z)
-            cname = f"{scn.prefix}_intensity{i:04d}.csv"
-            write_csv(os.path.join(out_dir, cname), ["x_um", "intensity"],
-                      np.column_stack([grid.x_um,
-                                       np.abs(traj.fields[i]) ** 2]))
-            files += [bname, cname]
-    return files, summary
+            yield f"field{i:04d}.bin", write_field_dump, (
+                [traj.fields[i]], grid.x_min_um,
+                grid.x_min_um + grid.width_um, z)
+            yield f"intensity{i:04d}.csv", write_csv, (
+                ["x_um", "intensity"],
+                np.column_stack([grid.x_um, np.abs(traj.fields[i]) ** 2]))
+    return summary, outputs()
 
 
-def _run_bands(scn: Scenario, out_dir):
+def _run_bands(scn: Scenario):
     optics = scn.optics_params()
     cfg = scn.section("bands")
     structure = bands_mod.plane_wave_bands(
@@ -306,29 +292,24 @@ def _run_bands(scn: Scenario, out_dir):
         "fit_rms_residual": fit.rms_residual,
         "gap_edge_cm": float(structure.half_splitting().min()),
     }
-    files = []
-    if out_dir is not None:
+
+    def outputs():
         a_cm = optics.spacing_um * CM_PER_UM
         n_bands, n_q = structure.omega.shape
-        table = np.column_stack([
-            np.tile(structure.q_values * a_cm / np.pi, n_bands),
-            np.repeat(np.arange(1.0, n_bands + 1), n_q),
-            structure.omega.ravel()])
-        name = f"{scn.prefix}_bands.csv"
-        write_csv(os.path.join(out_dir, name),
-                  ["qa_over_pi", "band_index", "omega_cm_inv"], table)
-        files.append(name)
+        yield "bands.csv", write_csv, (
+            ["qa_over_pi", "band_index", "omega_cm_inv"], np.column_stack([
+                np.tile(structure.q_values * a_cm / np.pi, n_bands),
+                np.repeat(np.arange(1.0, n_bands + 1), n_q),
+                structure.omega.ravel()]))
         if cfg["dump_modes"]:
             iq = cfg["mode_q_index"]
             if iq < 0:
                 iq = len(structure.q_values) // 2
             for b in range(structure.n_bands):
-                x_um, u = structure.periodic_part(iq, b)
-                mname = f"{scn.prefix}_mode_q{iq}_band{b + 1}.bin"
-                write_field_dump(os.path.join(out_dir, mname), [u],
-                                 0.0, 2 * optics.spacing_um, 0.0)
-                files.append(mname)
-    return files, summary
+                _, u = structure.periodic_part(iq, b)
+                yield f"mode_q{iq}_band{b + 1}.bin", write_field_dump, (
+                    [u], 0.0, 2 * optics.spacing_um, 0.0)
+    return summary, outputs()
 
 
 _TIER_RUNNERS = {
@@ -347,9 +328,8 @@ _TIER_RUNNERS = {
 def sweep_axis_values(sweep_cfg):
     if sweep_cfg.get("values") is not None:
         return list(sweep_cfg["values"])
-    start, stop, step = sweep_cfg["start"], sweep_cfg["stop"], sweep_cfg["step"]
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    start, step = sweep_cfg["start"], sweep_cfg["step"]
+    return [start + i * step for i in range(sweep_point_count(sweep_cfg))]
 
 
 def _point_config(resolved, tier, axis, value):
@@ -376,7 +356,7 @@ def _sweep_point(args):
     index, point = args
     try:
         scn = Scenario(resolve(point))
-        _, summary = _TIER_RUNNERS[scn.tier](scn, None)
+        summary, _ = _TIER_RUNNERS[scn.tier](scn)
         _check_finite(summary)
         return index, summary, ""
     except BentLatticeError as exc:
@@ -410,7 +390,7 @@ def _sweep_two_level(tasks):
     return results
 
 
-def _run_sweep(scn: Scenario, out_dir, jobs=1):
+def _run_sweep(scn: Scenario, jobs=1):
     sweep_cfg = scn.section("sweep")
     axis, tier = sweep_cfg["axis"], sweep_cfg["tier"]
     points = [_point_config(scn.resolved, tier, axis, v)
@@ -433,12 +413,6 @@ def _run_sweep(scn: Scenario, out_dir, jobs=1):
         rows.append((phi0, point["drive"]["period_cm"],
                      point["input"]["qa_over_pi"] * np.pi,
                      point[section][key], p_final, status or "ok"))
-    files = []
-    if out_dir is not None:
-        name = f"{scn.prefix}_sweep.csv"
-        write_csv(os.path.join(out_dir, name),
-                  ["phi0", "lambda_cm", "qa", axis, "P_final", "status"], rows)
-        files.append(name)
     summary = {
         "n_points": len(rows),
         "n_failed": sum(row[5] != "ok" for row in rows),
@@ -446,7 +420,8 @@ def _run_sweep(scn: Scenario, out_dir, jobs=1):
         "P_first": rows[0][4],
         "P_last": rows[-1][4],
     }
-    return files, summary
+    return summary, (("sweep.csv", write_csv, (
+        ["phi0", "lambda_cm", "qa", axis, "P_final", "status"], rows)),)
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +446,14 @@ def _check_finite(summary):
 
 
 def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
-    """Execute a scenario, write outputs and manifest, return the manifest."""
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+    """Execute a scenario and return its manifest; with an ``out_dir``,
+    write outputs and manifest there once the summary passes its checks."""
     if scn.tier == "sweep":
-        files, summary = _run_sweep(scn, out_dir, jobs)
+        summary, outputs = _run_sweep(scn, jobs)
         if summary["n_failed"]:
             summary["status"] = "partial"
     elif scn.tier in _TIER_RUNNERS:
-        files, summary = _TIER_RUNNERS[scn.tier](scn, out_dir)
+        summary, outputs = _TIER_RUNNERS[scn.tier](scn)
         _check_finite(summary)
         summary["status"] = "ok"
     else:
@@ -495,10 +469,15 @@ def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
         "outputs": {},
     }
     if out_dir is not None:
-        cfg_name = f"{scn.prefix}_resolved.cfg"
-        with open(os.path.join(out_dir, cfg_name), "w", encoding="utf-8") as fh:
+        os.makedirs(out_dir, exist_ok=True)
+        files = []
+        for suffix, writer, args in outputs:
+            files.append(f"{scn.prefix}_{suffix}")
+            writer(os.path.join(out_dir, files[-1]), *args)
+        files.append(f"{scn.prefix}_resolved.cfg")
+        with open(os.path.join(out_dir, files[-1]), "w",
+                  encoding="utf-8") as fh:
             fh.write(resolved_text)
-        files.append(cfg_name)
         manifest["outputs"] = {
             name: _sha256_file(os.path.join(out_dir, name))
             for name in sorted(files)

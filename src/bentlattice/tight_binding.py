@@ -30,7 +30,8 @@ import numpy as np
 
 from . import drive as drv
 from .drive import CM_PER_UM
-from .errors import AccuracyError, DegenerateGapError, ParameterError
+from .errors import (AccuracyError, DegenerateGapError, ParameterError,
+                     require_positive)
 from .integrate import (_advance, default_dz, rk4_evolve, snapshot_steps,
                         snapshot_stride, step_grid)
 
@@ -71,8 +72,7 @@ class SuperlatticeParams:
     n_sites: int = 64
 
     def __post_init__(self):
-        if self.sigma_cm <= 0:
-            raise ParameterError("sigma must be positive")
+        require_positive(sigma_cm=self.sigma_cm, spacing_um=self.spacing_um)
         if self.delta_cm < 0:
             raise ParameterError("delta must be non-negative")
         if not math.hypot(self.delta_cm, 2 * self.sigma_cm) < _MAX_SPLITTING:
@@ -214,6 +214,7 @@ def gaussian_packet_state(q0, width_sites, params: SuperlatticeParams,
     exact single-band packet (each q component is the branch eigenvector at
     that q), not an envelope approximation.
     """
+    require_positive(width_sites=width_sites)
     n = params.n_sites
     l = params.sites
     qa0 = float(q0) * params.spacing_cm

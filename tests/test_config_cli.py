@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 import bentlattice
 from bentlattice import ConfigError
 from bentlattice.cli import main as cli_main
-from bentlattice.config import (SCHEMA, apply_overrides, canonical_dump,
-                                parse_config_text, resolve, scenario_from_text)
+from bentlattice.config import (MAX_SWEEP_POINTS, SCHEMA, apply_overrides,
+                                canonical_dump, parse_config_text, resolve,
+                                scenario_from_text, sweep_point_count)
 from bentlattice.fieldio import read_csv
 from bentlattice.presets import preset_names, preset_text
 from bentlattice.runner import run_scenario, sweep_axis_values
@@ -99,10 +100,19 @@ class TestParsing:
         parsed = parse_config_text(preset_text(preset))
         floats = [(sec, key) for sec, keys in resolve(parsed).items()
                   for key in keys if SCHEMA[sec][key][0] == "float"]
+        # values that resolve bounds are drawn inside their bounds, so that
+        # few draws are filtered out: a census threshold in (0, 1) and a
+        # sweep range of at most MAX_SWEEP_POINTS points
+        bounded = {("numerics", "census_threshold"): st.floats(
+            0.0, 1.0, exclude_min=True, exclude_max=True)}
         for sec, key in floats:
             parsed.setdefault(sec, {})[key] = abs(data.draw(
-                st.floats(allow_nan=False, allow_infinity=False),
+                bounded.get((sec, key), st.floats(allow_nan=False,
+                                                  allow_infinity=False)),
                 label=f"{sec}.{key}"))
+        sweep = parsed["sweep"]
+        sweep["step"] = max(sweep["step"], abs(
+            sweep["stop"] - sweep["start"]) / (MAX_SWEEP_POINTS - 1))
         try:
             resolved = resolve(parsed)
         except ConfigError:
@@ -146,6 +156,23 @@ class TestSweepValues:
         values = sweep_axis_values({"values": (1.0, 2.0), "start": 0,
                                     "stop": 0, "step": 1})
         assert values == [1.0, 2.0]
+
+    def test_point_count_ceiling(self):
+        # the count is arithmetic, so a tiny step is refused by resolve
+        # before any point list is built (no test builds one: without the
+        # ceiling, the list of 8e300 points would take all memory)
+        at_ceiling = {"start": 0.0, "stop": MAX_SWEEP_POINTS - 1.0,
+                      "step": 1.0}
+        assert sweep_point_count(at_ceiling) == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError, match="sweep.step"):
+            sweep_point_count({**at_ceiling, "stop": float(MAX_SWEEP_POINTS)})
+        for overrides in (["sweep.step=1e-300"],
+                          ["sweep.start=-1e308", "sweep.stop=1e308"]):
+            with pytest.raises(ConfigError, match="sweep.step") as info:
+                scenario_from_text(preset_text("fig3"), overrides)
+            assert info.value.field == "sweep.step"
+        assert sweep_point_count(
+            scenario_from_text(preset_text("fig3")).section("sweep")) == 161
 
 
 class TestRunner:
@@ -370,13 +397,40 @@ class TestCli:
         (["run", "--preset", "fig5b", "--set", "numerics.z_end_cm=0.3",
           "--set", "numerics.census_merge_um=-1"],
          2, "config error: numerics.census_merge_um"),
+        (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
+          "--set", "input.n_points=0"], 3, "n_points must be positive"),
+        (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
+          "--set", "input.n_points=-4"], 3, "n_points must be positive"),
+        (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
+          "--set", "input.xi_span=0"], 3, "xi_span must be positive"),
+        (["run", "--preset", "fig5b", "--set", "numerics.grid_points=0"],
+         3, "grid_points must be positive"),
+        (["run", "--preset", "fig5b", "--set", "numerics.grid_points=-8"],
+         3, "grid_points must be positive"),
+        (["run", "--preset", "fig5b", "--set", "input.w0_um=0"],
+         3, "w0_um must be positive"),
+        (["run", "--preset", "fig3b", "--set", "scenario.tier=tight_binding",
+          "--set", "input.packet=gaussian", "--set", "input.width_sites=0"],
+         3, "width_sites must be positive"),
+        (["run", "--preset", "fig3b", "--set", "optics.n_s=0"],
+         3, "n_s must be positive"),
+        (["run", "--preset", "fig3b", "--set", "optics.spacing_um=0"],
+         3, "spacing_um must be positive"),
+        (["run", "--preset", "fig3b", "--set", "lattice.spacing_um=0"],
+         3, "spacing_um must be positive"),
+        (["run", "--preset", "fig3b", "--set", "lattice.spacing_um=-1"],
+         3, "spacing_um must be positive"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
             "empty_sweep_values", "bands_sweep", "sweep_n_target",
             "unread_bands_axis", "sweep_section_axis", "bpm_unread_bands_axis",
             "even_plane_waves", "few_plane_waves", "bpm_even_plane_waves",
-            "bpm_one_band", "census_threshold", "census_merge_negative"])
+            "bpm_one_band", "census_threshold", "census_merge_negative",
+            "dirac_no_points", "dirac_negative_points", "dirac_zero_span",
+            "bpm_no_points", "bpm_negative_points", "bpm_zero_spot",
+            "packet_zero_width", "optics_zero_index", "optics_zero_spacing",
+            "lattice_zero_spacing", "lattice_negative_spacing"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):
@@ -427,9 +481,26 @@ class TestCli:
         from bentlattice import AccuracyError, runner
         monkeypatch.setitem(
             runner._TIER_RUNNERS, "two_level",
-            lambda scn, out_dir: ({}, {"packet_velocities": [1.0, np.nan]}))
+            lambda scn: ({"packet_velocities": [1.0, np.nan]}, ()))
         with pytest.raises(AccuracyError, match="packet_velocities"):
             run_scenario(scenario_from_text(MINIMAL_TWO_LEVEL), None)
+
+    def test_failed_check_writes_no_file(self, tmp_path, monkeypatch):
+        # outputs are built and written only after the summary passes its
+        # checks, so a failed run leaves neither tables nor a manifest
+        from bentlattice import AccuracyError, runner
+        iterated = []
+
+        def outputs():
+            iterated.append(True)
+            yield "trajectory.csv", runner.write_csv, (["z_cm"], [[0.0]])
+
+        monkeypatch.setitem(runner._TIER_RUNNERS, "two_level",
+                            lambda scn: ({"P_final": np.nan}, outputs()))
+        with pytest.raises(AccuracyError, match="P_final"):
+            run_scenario(scenario_from_text(MINIMAL_TWO_LEVEL), str(tmp_path))
+        assert iterated == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_numeric_error_exit_code(self, tmp_path):
         cfg = tmp_path / "coarse.cfg"

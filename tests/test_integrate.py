@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import re
 from pathlib import Path
@@ -214,6 +215,21 @@ def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
              if isinstance(node, ast.Call)]
     assert calls.count("step_grid") == 1
     assert "_evolve_sites" not in text and "_evolve_bloch" not in text
+
+
+def test_source_holds_one_output_writer():
+    # the tier runners return their outputs unwritten and take only the
+    # scenario; run_scenario alone places files in the output directory
+    from bentlattice.runner import _TIER_RUNNERS
+    for tier_runner in _TIER_RUNNERS.values():
+        assert len(inspect.signature(tier_runner).parameters) == 1
+    holders = set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.parse(text).body:
+            if "os.path.join(out_dir" in ast.get_source_segment(text, node):
+                holders.add((path.name, getattr(node, "name", None)))
+    assert holders == {("runner.py", "run_scenario")}
 
 
 def test_source_holds_one_float_format_and_one_check_cadence():
