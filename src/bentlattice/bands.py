@@ -5,6 +5,10 @@ a truncated Fourier basis of the 2a-periodic cell.  Guided minibands come
 out as the most-bound (lowest) eigenvalues; fitting their splitting against
 the two-parameter tight-binding dispersion recovers the coupling sigma and
 half-mismatch delta used by the discrete tiers.
+
+``scipy.linalg`` and ``scipy.optimize`` are imported inside the solver and
+the calibration that call them, so runs that solve no bands do not load
+them.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import brentq
 
 from .bpm import OpticsParams, sample_index_change
 from .drive import CM_PER_UM
@@ -149,6 +151,8 @@ def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
         raise ParameterError("cell operator is not finite; check the optics "
                              "index changes, wavelength and q values")
 
+    import scipy.linalg
+
     n_bands = min(n_bands, n_plane_waves)
     omega = np.empty((n_bands, len(q_values)))
     coeffs = np.empty((len(q_values), n_plane_waves, n_bands))
@@ -243,6 +247,8 @@ def calibrate_channel(target_sigma: float, target_delta: float,
     2% tolerance.  The width samples taken while bracketing are returned so
     callers can assert monotonicity over the bracket.
     """
+    from scipy.optimize import brentq
+
     lo, hi = width_bracket
     probe_widths = np.linspace(lo, hi, 5)
     probe_sigmas = []

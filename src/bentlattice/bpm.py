@@ -7,16 +7,19 @@ boundary absorber disabled the scheme is exactly unitary on the periodic
 grid.  An alternative gauge moves the bending into a z-dependent momentum
 shift of the diffraction kernel; the two agree on band populations and the
 cross-check is one of the validation suites.
+
+``bpm_run`` imports ``scipy.fft`` when it is called (its 8192-point FFT is
+a little faster than numpy's), so the other tiers never load it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft as sfft
 
 from . import drive as drv
 from .drive import CM_PER_UM
@@ -154,6 +157,10 @@ class AbsorberSpec:
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 0.5:
             raise ParameterError("absorber fraction must lie in [0, 0.5]")
+        # a negative strength would turn the damping ramp into gain
+        if not 0.0 <= self.strength_cm < math.inf:
+            raise ParameterError("absorber strength_cm must be non-negative "
+                                 f"and finite, got {self.strength_cm!r}")
 
     def ramps(self, n: int):
         """Slices of the damped points on the left and right grid edges.
@@ -255,6 +262,8 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     Absorbed power beyond ``intake_warn`` of the launch power warns, beyond
     ``intake_error`` raises DomainError.
     """
+    import scipy.fft as sfft
+
     gauge = BpmGauge(gauge)
     grid = field.grid
     if index_profile is None:

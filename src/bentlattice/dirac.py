@@ -12,7 +12,8 @@ rotation with the analytic phase integral over the step, half mass) is
 diagonal in k; splitting error comes only from the mass term (second
 order).  The state stays in momentum space for the whole run and is
 transformed back only where real space is needed: the edge-density checks
-and the returned snapshots.
+and the returned snapshots.  Those transforms use ``np.fft``, so that this
+tier, like the two-level and lattice tiers, runs without importing scipy.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ A bending profile x0(z) enters the lattice models only through the
 dimensionless phase ``Phi(z) = 2 pi n_s a x0'(z) / lambda`` and the scaled
 force ``F(z) = dPhi/dz``.  Longitudinal lengths (z, the bending period) are
 held in cm, transverse lengths (amplitude, spacing) in micrometres and
-converted internally.
+converted internally.  Only a tabulated profile imports scipy's
+``CubicSpline``, when it is built.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, ParameterError, require_positive
 
@@ -57,6 +57,8 @@ class DriveProfile:
             raise ParameterError("amplitude_um must be non-negative and "
                                  f"finite, got {self.amplitude_um!r}")
         if self.kind is DriveKind.TABULATED:
+            from scipy.interpolate import CubicSpline
+
             if self.table_z_cm is None or self.table_phi is None:
                 raise ParameterError("tabulated profile needs (z, Phi) samples")
             z = np.asarray(self.table_z_cm, dtype=float)

@@ -4,6 +4,9 @@ Every run resolves its configuration first and executes deterministically
 (fixed steps, no RNG anywhere).  Once the summary passes its checks,
 ``run_scenario`` alone writes the tier's outputs, a canonical ``resolved.cfg``
 and a ``manifest.json`` with SHA-256 checksums; re-runs stay bit-identical.
+``multiprocessing`` is imported only by a sweep run with ``jobs > 1``, and
+scipy only inside the tiers that call it, so a fresh CLI process loads
+numpy and this package alone before the run starts.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 from importlib.metadata import version as pkg_version
 
@@ -399,6 +401,8 @@ def _run_sweep(scn: Scenario, jobs=1):
     if tier == "two_level":
         results = _sweep_two_level(tasks)
     elif jobs > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(_sweep_point, tasks)
     else:

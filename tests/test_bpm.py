@@ -242,6 +242,15 @@ class TestAbsorber:
         with pytest.raises(ParameterError):
             AbsorberSpec(fraction=0.6)
 
+    @pytest.mark.parametrize("strength", [-5.0, -1e-300, np.inf, np.nan])
+    def test_negative_or_non_finite_strength_rejected(self, strength):
+        # a negative strength would make the edge ramp amplify the field
+        with pytest.raises(ParameterError, match="strength_cm"):
+            AbsorberSpec(strength_cm=strength)
+
+    def test_zero_strength_damps_nothing(self):
+        assert not np.any(AbsorberSpec(strength_cm=0.0).damping(100))
+
     def test_intake_escalates_to_error(self, optics):
         grid = TransverseGrid.for_cells(optics, n_cells=41, n_points=4096)
         field = gaussian_tilted_input(60.0, 4 * bragg_angle(optics), optics,

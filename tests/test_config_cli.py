@@ -420,6 +420,9 @@ class TestCli:
          3, "spacing_um must be positive"),
         (["run", "--preset", "fig3b", "--set", "lattice.spacing_um=-1"],
          3, "spacing_um must be positive"),
+        (["run", "--preset", "fig5b", "--set",
+          "numerics.absorber_strength_cm=-5", "--set", "numerics.z_end_cm=1"],
+         3, "absorber strength_cm must be non-negative"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
@@ -430,7 +433,8 @@ class TestCli:
             "dirac_no_points", "dirac_negative_points", "dirac_zero_span",
             "bpm_no_points", "bpm_negative_points", "bpm_zero_spot",
             "packet_zero_width", "optics_zero_index", "optics_zero_spacing",
-            "lattice_zero_spacing", "lattice_negative_spacing"])
+            "lattice_zero_spacing", "lattice_negative_spacing",
+            "bpm_negative_absorber"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):
