@@ -7,6 +7,10 @@ plane-wave band solver that ties the discrete constants to the continuum
 geometry.
 """
 
+# set before the submodule imports, so that a submodule importing it from
+# the package finds it whichever module the package is loading
+__version__ = "0.1.0"
+
 from .bands import (BandStructure, CalibrationResult, TightBindingFit,
                     calibrate_channel, fit_tight_binding, plane_wave_bands)
 from .bpm import (AbsorberSpec, BpmGauge, ChannelShape, DEFAULT_OPTICS,
@@ -31,5 +35,3 @@ from .two_level import (CouplingMatrix, DiracUnitsMap, MatrixKind,
                         coupling_matrix_reduced, evolve, ground_state,
                         quasi_energy, resonance_period, transition_probability,
                         zone_edge_k)
-
-__version__ = "0.1.0"

@@ -45,7 +45,7 @@ class BandStructure:
 
     @property
     def g_values(self):
-        a_cm = self.optics.spacing_um * CM_PER_UM
+        a_cm = self.optics.spacing_cm
         return self.g_indices * (np.pi / a_cm)
 
     def periodic_part(self, iq: int, band: int, n_samples: int = 256):
@@ -62,7 +62,7 @@ class BandStructure:
 
 def default_q_values(optics: OpticsParams, n_q: int = 128):
     """n_q uniform points in the first Brillouin zone (-pi/2a, pi/2a]."""
-    a_cm = optics.spacing_um * CM_PER_UM
+    a_cm = optics.spacing_cm
     edge = np.pi / (2 * a_cm)
     return -edge + (np.arange(n_q) + 1) * (2 * edge / n_q)
 
@@ -74,7 +74,7 @@ def grid_q_values(optics: OpticsParams, window_cm: float):
     values are the window's discrete momenta folded into the zone, which is
     what field projections on that window require.
     """
-    a_cm = optics.spacing_um * CM_PER_UM
+    a_cm = optics.spacing_cm
     n_classes = window_cm / (2 * a_cm)
     if abs(n_classes - round(n_classes)) > 1e-9:
         raise ParameterError("window must span an integer number of cells")
@@ -142,11 +142,10 @@ def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
     q_values = np.asarray(q_values, dtype=float)
     half = n_plane_waves // 2
     g_indices = np.arange(-half, half + 1)
-    a_cm = optics.spacing_um * CM_PER_UM
+    a_cm = optics.spacing_cm
     g = g_indices * (np.pi / a_cm)
     vmat = _potential_matrix(optics, g_indices, n_cell)
-    diffraction = optics.wavelength_cm / (4 * np.pi * optics.n_s)
-    kinetic = diffraction * (q_values[:, None] + g) ** 2
+    kinetic = optics.diffraction_cm * (q_values[:, None] + g) ** 2
     if not (np.all(np.isfinite(vmat)) and np.all(np.isfinite(kinetic))):
         raise ParameterError("cell operator is not finite; check the optics "
                              "index changes, wavelength and q values")
@@ -196,7 +195,7 @@ def fit_tight_binding(bands: BandStructure) -> TightBindingFit:
     """
     if bands.n_bands < 2:
         raise ParameterError("fit needs at least two bands")
-    a_cm = bands.optics.spacing_um * CM_PER_UM
+    a_cm = bands.optics.spacing_cm
     qa = bands.q_values * a_cm
     s = bands.half_splitting()
     design = np.stack([np.ones_like(qa), 4 * np.cos(qa) ** 2], axis=1)

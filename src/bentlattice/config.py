@@ -3,9 +3,10 @@
 The format is deliberately dumb: ``[section]`` headers, one ``key = value``
 per line, ``#`` comments, no nesting, no interpolation, no executable
 content.  Every key is declared below with its type (and enum values where
-applicable); unknown keys or malformed values raise ConfigError carrying
-the dotted field path.  A resolved configuration (defaults filled in) can
-be dumped back to canonical text that reproduces the run bit for bit.
+applicable) and the tiers that read it; unknown keys, malformed values and
+sweep axes that the swept tier does not read raise ConfigError carrying the
+dotted field path.  A resolved configuration (defaults filled in) can be
+dumped back to canonical text that reproduces the run bit for bit.
 """
 
 from __future__ import annotations
@@ -23,89 +24,104 @@ from .two_level import MatrixKind
 
 TIERS = ("two_level", "tight_binding", "dirac", "bpm", "bands", "sweep")
 
-# schema: section -> key -> (type, default, allowed-values or None)
-# default None means "only present when the user sets it"
+# the tiers that read a key, in groups: the lattice tiers build
+# SuperlatticeParams, every stepped tier builds its drive from [optics]
+# n_s, lambda_cm and spacing_um, and the optics tiers build OpticsParams
+_LATTICE = ("two_level", "tight_binding", "dirac")
+_STEPPED = (*_LATTICE, "bpm")
+_OPTICS = ("bpm", "bands")
+_SOLVERS = (*_STEPPED, "bands")
+
+# schema: section -> key -> (type, default, allowed-values or None, tiers
+# reading it); default None means "only present when the user sets it"
 SCHEMA = {
     "scenario": {
-        "tier": ("str", None, TIERS),
-        "name": ("str", "scenario", None),
+        "tier": ("str", None, TIERS, TIERS),
+        "name": ("str", "scenario", None, TIERS),
     },
     "lattice": {
-        "sigma_cm": ("float", 2.0, None),
-        "delta_cm": ("float", 1.817, None),
-        "spacing_um": ("float", 10.0, None),
-        "n_sites": ("int", 64, None),
+        "sigma_cm": ("float", 2.0, None, _LATTICE),
+        "delta_cm": ("float", 1.817, None, _LATTICE),
+        "spacing_um": ("float", 10.0, None, _LATTICE),
+        # unused by the two-level and Dirac tiers, but checked there as
+        # part of SuperlatticeParams (even and >= 4)
+        "n_sites": ("int", 64, None, _LATTICE),
     },
     "optics": {
-        "n_s": ("float", 1.42, None),
-        "lambda_cm": ("float", 633e-7, None),
-        "dn1": ("float", 0.002, None),
-        "dn2": ("float", OpticsParams().dn2, None),
-        "spacing_um": ("float", 10.0, None),
-        "channel_width_um": ("float", OpticsParams().channel_width_um, None),
+        "n_s": ("float", 1.42, None, _SOLVERS),
+        "lambda_cm": ("float", 633e-7, None, _SOLVERS),
+        "dn1": ("float", 0.002, None, _OPTICS),
+        "dn2": ("float", OpticsParams().dn2, None, _OPTICS),
+        "spacing_um": ("float", 10.0, None, _SOLVERS),
+        "channel_width_um": ("float", OpticsParams().channel_width_um, None,
+                             _OPTICS),
         "channel_shape": ("str", "super_gaussian",
-                          tuple(s.value for s in ChannelShape)),
-        "sg_order": ("int", 4, None),
+                          tuple(s.value for s in ChannelShape), _OPTICS),
+        "sg_order": ("int", 4, None, _OPTICS),
     },
     "drive": {
-        "kind": ("str", "straight", tuple(k.value for k in DriveKind)),
-        "period_cm": ("float", 1.0, None),
-        "amplitude_um": ("float", None, None),
-        "phi0": ("float", None, None),
-        "table_z_cm": ("floats", None, None),
-        "table_phi": ("floats", None, None),
+        "kind": ("str", "straight", tuple(k.value for k in DriveKind),
+                 _STEPPED),
+        "period_cm": ("float", 1.0, None, _STEPPED),
+        "amplitude_um": ("float", None, None, _STEPPED),
+        "phi0": ("float", None, None, _STEPPED),
+        "table_z_cm": ("floats", None, None, _STEPPED),
+        "table_phi": ("floats", None, None, _STEPPED),
     },
     "input": {
-        "qa_over_pi": ("float", 0.25, None),
-        "branch": ("str", "minus", ("minus", "plus")),
-        "packet": ("str", "bloch", ("bloch", "gaussian")),
-        "width_sites": ("float", 32.0, None),
-        "center_site": ("float", 0.0, None),
-        "width_xi": ("float", 16.0, None),
-        "center_xi": ("float", 0.0, None),
-        "xi_span": ("float", 256.0, None),
-        "n_points": ("int", 2048, None),
-        "w0_um": ("float", 80.0, None),
-        "theta_over_bragg": ("float", 0.5, None),
-        "theta_rad": ("float", None, None),
-        "purify_band": ("bool", False, None),
+        "qa_over_pi": ("float", 0.25, None, _LATTICE),
+        "branch": ("str", "minus", ("minus", "plus"), _LATTICE),
+        "packet": ("str", "bloch", ("bloch", "gaussian"), ("tight_binding",)),
+        "width_sites": ("float", 32.0, None, ("tight_binding",)),
+        "center_site": ("float", 0.0, None, ("tight_binding",)),
+        "width_xi": ("float", 16.0, None, ("dirac",)),
+        "center_xi": ("float", 0.0, None, ("dirac",)),
+        "xi_span": ("float", 256.0, None, ("dirac",)),
+        "n_points": ("int", 2048, None, ("dirac",)),
+        "w0_um": ("float", 80.0, None, ("bpm",)),
+        "theta_over_bragg": ("float", 0.5, None, ("bpm",)),
+        "theta_rad": ("float", None, None, ("bpm",)),
+        "purify_band": ("bool", False, None, ("bpm",)),
     },
     "numerics": {
-        "z_end_cm": ("float", None, None),
-        "dz_cm": ("float", None, None),
-        "snapshot_every": ("int", None, None),
-        "boundary": ("str", "periodic", tuple(b.value for b in Boundary)),
-        "matrix_kind": ("str", "full", tuple(m.value for m in MatrixKind)),
-        "gauge": ("str", "gauged", ("bare", "gauged")),
-        "bpm_gauge": ("str", "bent_frame", ("bent_frame", "shifted_k")),
-        "self_check": ("bool", False, None),
-        "n_guides": ("int", 60, None),
-        "grid_cells": ("int", 41, None),
-        "grid_points": ("int", 4096, None),
-        "absorber_fraction": ("float", 0.10, None),
-        "absorber_strength_cm": ("float", 600.0, None),
-        "absorber_enabled": ("bool", True, None),
-        "census_threshold": ("float", 0.1, None),
-        "census_merge_um": ("float", None, None),
+        "z_end_cm": ("float", None, None, _STEPPED),
+        "dz_cm": ("float", None, None, _STEPPED),
+        "snapshot_every": ("int", None, None, _STEPPED),
+        "boundary": ("str", "periodic", tuple(b.value for b in Boundary),
+                     ("tight_binding",)),
+        "matrix_kind": ("str", "full", tuple(m.value for m in MatrixKind),
+                        ("two_level",)),
+        "gauge": ("str", "gauged", ("bare", "gauged"), ("tight_binding",)),
+        "bpm_gauge": ("str", "bent_frame", ("bent_frame", "shifted_k"),
+                      ("bpm",)),
+        "self_check": ("bool", False, None, _SOLVERS),
+        "n_guides": ("int", 60, None, ("bpm",)),
+        "grid_cells": ("int", 41, None, ("bpm",)),
+        "grid_points": ("int", 4096, None, ("bpm",)),
+        "absorber_fraction": ("float", 0.10, None, ("bpm",)),
+        "absorber_strength_cm": ("float", 600.0, None, ("bpm",)),
+        "absorber_enabled": ("bool", True, None, ("bpm",)),
+        "census_threshold": ("float", 0.1, None, ("bpm",)),
+        "census_merge_um": ("float", None, None, ("bpm",)),
     },
     "bands": {
-        "n_plane_waves": ("int", 161, None),
-        "n_q": ("int", 128, None),
-        "n_bands": ("int", 4, None),
-        "dump_modes": ("bool", False, None),
-        "mode_q_index": ("int", -1, None),
+        "n_plane_waves": ("int", 161, None, _OPTICS),
+        "n_q": ("int", 128, None, ("bands",)),
+        "n_bands": ("int", 4, None, _OPTICS),
+        "dump_modes": ("bool", False, None, ("bands",)),
+        "mode_q_index": ("int", -1, None, ("bands",)),
     },
     "sweep": {
         # the tiers whose summary has a headline value for the sweep row
-        "tier": ("str", "two_level", TIERS[:4]),
-        "axis": ("str", "drive.phi0", None),
-        "start": ("float", 0.0, None),
-        "stop": ("float", 1.0, None),
-        "step": ("float", 0.1, None),
-        "values": ("floats", None, None),
+        "tier": ("str", "two_level", _STEPPED, ("sweep",)),
+        "axis": ("str", "drive.phi0", None, ("sweep",)),
+        "start": ("float", 0.0, None, ("sweep",)),
+        "stop": ("float", 1.0, None, ("sweep",)),
+        "step": ("float", 0.1, None, ("sweep",)),
+        "values": ("floats", None, None, ("sweep",)),
     },
     "output": {
-        "prefix": ("str", "run", None),
+        "prefix": ("str", "run", None, TIERS),
     },
 }
 
@@ -207,7 +223,7 @@ def resolve(data: dict) -> dict:
     for section, keys in SCHEMA.items():
         resolved[section] = {}
         given = data.get(section, {})
-        for key, (kind, default, allowed) in keys.items():
+        for key, (kind, default, allowed, _) in keys.items():
             value = given.get(key, default)
             if value is not None and allowed is not None and value not in allowed:
                 raise ConfigError(f"must be one of {allowed}, got {value!r}",
@@ -247,43 +263,39 @@ def _validate_tier(resolved, tier):
         if SCHEMA[sec][key][0] not in ("float", "int"):
             raise ConfigError("axis must target a numeric scalar field",
                               f"sweep.axis={axis}")
-        # no tier reads the sweep section, and of the bands section only
-        # bpm reads its plane-wave basis: such an axis gives a flat curve
-        if sec == "sweep" or (sec == "bands" and not (
-                sweep["tier"] == "bpm" and key in ("n_plane_waves",
-                                                   "n_bands"))):
+        if sweep["tier"] not in SCHEMA[sec][key][3]:
             raise ConfigError(f"the {sweep['tier']} tier does not read it",
                               f"sweep.axis={axis}")
         _validate_tier(resolved, sweep["tier"])
         return
-    if tier in ("two_level", "tight_binding", "dirac", "bpm"):
+
+    def check(section, key, ok, message):
+        """Raise ``message`` on ``section.key`` when the tier reads it and
+        its value is set and fails ``ok``."""
+        if tier not in SCHEMA[section][key][3]:
+            return
+        value = resolved[section].get(key)
+        if value is not None and not ok(value):
+            raise ConfigError(message, f"{section}.{key}")
+
+    if tier in SCHEMA["numerics"]["z_end_cm"][3]:
         _require(resolved, "numerics", "z_end_cm")
-        for key in ("z_end_cm", "dz_cm", "snapshot_every"):
-            value = resolved["numerics"].get(key)
-            if value is not None and value <= 0:
-                raise ConfigError("must be positive", f"numerics.{key}")
-    if tier in ("bands", "bpm"):
-        bands = resolved["bands"]
-        if bands["n_plane_waves"] % 2 == 0 or bands["n_plane_waves"] < 41:
-            raise ConfigError("must be odd and >= 41", "bands.n_plane_waves")
-        # bpm reports the populations of the two lowest bands
-        least = 2 if tier == "bpm" else 1
-        if bands["n_bands"] < least:
-            raise ConfigError(f"must be >= {least}", "bands.n_bands")
-    if tier == "bpm":
-        num = resolved["numerics"]
-        if not 0 < num["census_threshold"] < 1:
-            raise ConfigError("must be in (0, 1)", "numerics.census_threshold")
-        merge = num.get("census_merge_um")
-        if merge is not None and not merge >= 0:
-            raise ConfigError("must be >= 0", "numerics.census_merge_um")
-    if tier == "bands":
-        if bands["n_q"] < 1:
-            raise ConfigError("must be >= 1", "bands.n_q")
-        # a negative mode_q_index selects the middle q sample
-        if bands["dump_modes"] and bands["mode_q_index"] >= bands["n_q"]:
-            raise ConfigError(f"must be < bands.n_q = {bands['n_q']}",
-                              "bands.mode_q_index")
+    for key in ("z_end_cm", "dz_cm", "snapshot_every"):
+        check("numerics", key, lambda v: v > 0, "must be positive")
+    check("bands", "n_plane_waves", lambda n: n % 2 == 1 and n >= 41,
+          "must be odd and >= 41")
+    # bpm reports the populations of the two lowest bands
+    least = 2 if tier == "bpm" else 1
+    check("bands", "n_bands", lambda n: n >= least, f"must be >= {least}")
+    check("numerics", "census_threshold", lambda t: 0 < t < 1,
+          "must be in (0, 1)")
+    check("numerics", "census_merge_um", lambda m: m >= 0, "must be >= 0")
+    check("bands", "n_q", lambda n: n >= 1, "must be >= 1")
+    # a negative mode_q_index selects the middle q sample
+    n_q = resolved["bands"]["n_q"]
+    if resolved["bands"]["dump_modes"]:
+        check("bands", "mode_q_index", lambda i: i < n_q,
+              f"must be < bands.n_q = {n_q}")
     drive = resolved["drive"]
     if drive["kind"] in ("sinusoidal", "single_cycle"):
         has_amp = drive.get("amplitude_um") is not None
@@ -328,17 +340,19 @@ class Scenario:
 
     resolved: dict
 
+    # every key is read through section(), properties included, so that
+    # a test recording its reads can check each tier's row of SCHEMA
     @property
     def tier(self):
-        return self.resolved["scenario"]["tier"]
+        return self.section("scenario")["tier"]
 
     @property
     def name(self):
-        return self.resolved["scenario"].get("name", "scenario")
+        return self.section("scenario").get("name", "scenario")
 
     @property
     def prefix(self):
-        return self.resolved["output"]["prefix"]
+        return self.section("output")["prefix"]
 
     def section(self, name):
         return self.resolved.get(name, {})

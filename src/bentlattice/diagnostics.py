@@ -36,7 +36,7 @@ def bands_for_grid(optics: OpticsParams, grid: TransverseGrid,
 
 def _check_projection_setup(fieldgrid: FieldGrid, bands: BandStructure):
     window_cm = fieldgrid.grid.width_um * CM_PER_UM
-    a_cm = bands.optics.spacing_um * CM_PER_UM
+    a_cm = bands.optics.spacing_cm
     n_classes = window_cm / (2 * a_cm)
     if abs(n_classes - round(n_classes)) > 1e-9:
         raise ShapeError("grid window is not a whole number of lattice cells")

@@ -15,10 +15,10 @@ import hashlib
 import json
 import math
 import os
-from importlib.metadata import version as pkg_version
 
 import numpy as np
 
+from . import __version__
 from . import bands as bands_mod
 from . import bpm as bpm_mod
 from . import diagnostics as diag
@@ -28,7 +28,6 @@ from . import tight_binding as tb
 from . import two_level as tl
 from .config import (SCHEMA, Scenario, canonical_dump, resolve,
                      sweep_point_count)
-from .drive import CM_PER_UM
 from .errors import AccuracyError, BentLatticeError, ConfigError
 from .fieldio import write_csv, write_field_dump
 from .integrate import default_dz, step_grid
@@ -296,7 +295,7 @@ def _run_bands(scn: Scenario):
     }
 
     def outputs():
-        a_cm = optics.spacing_um * CM_PER_UM
+        a_cm = optics.spacing_cm
         n_bands, n_q = structure.omega.shape
         yield "bands.csv", write_csv, (
             ["qa_over_pi", "band_index", "omega_cm_inv"], np.column_stack([
@@ -465,7 +464,7 @@ def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
 
     resolved_text = canonical_dump(scn.resolved)
     manifest = {
-        "tool": {"name": "bentlattice", "version": _tool_version()},
+        "tool": {"name": "bentlattice", "version": __version__},
         "tier": scn.tier,
         "name": scn.name,
         "config_sha256": hashlib.sha256(resolved_text.encode()).hexdigest(),
@@ -492,10 +491,3 @@ def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
     return manifest
-
-
-def _tool_version():
-    try:
-        return pkg_version("bentlattice")
-    except Exception:
-        return "0.0.0+local"

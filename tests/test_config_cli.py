@@ -1,5 +1,7 @@
 import ast
+import collections
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 import bentlattice
 from bentlattice import ConfigError
 from bentlattice.cli import main as cli_main
-from bentlattice.config import (MAX_SWEEP_POINTS, SCHEMA, apply_overrides,
-                                canonical_dump, parse_config_text, resolve,
+from bentlattice.config import (MAX_SWEEP_POINTS, SCHEMA, TIERS, Scenario,
+                                apply_overrides, canonical_dump,
+                                parse_config_text, resolve,
                                 scenario_from_text, sweep_point_count)
 from bentlattice.fieldio import read_csv
 from bentlattice.presets import preset_names, preset_text
@@ -286,6 +289,13 @@ class TestRunner:
             assert row[4] == _two_level_p_final([*overrides,
                                                  f"{axis}={value}"])
 
+    def test_manifest_records_the_package_version(self):
+        manifest = run_scenario(scenario_from_text(MINIMAL_TWO_LEVEL), None)
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "(.*)"$', pyproject, re.M).group(1)
+        assert manifest["tool"]["version"] == bentlattice.__version__
+        assert bentlattice.__version__ == declared
+
     def test_manifest_checksums_match_files(self, tmp_path):
         import hashlib
         scn = scenario_from_text(MINIMAL_TWO_LEVEL)
@@ -423,6 +433,11 @@ class TestCli:
         (["run", "--preset", "fig5b", "--set",
           "numerics.absorber_strength_cm=-5", "--set", "numerics.z_end_cm=1"],
          3, "absorber strength_cm must be non-negative"),
+        (["sweep", "--preset", "fig3", "--set",
+          "sweep.axis=numerics.grid_points", "--set", "sweep.values=1,2"],
+         2, "config error: sweep.axis"),
+        (["sweep", "--preset", "fig3", "--set", "sweep.axis=optics.dn1"],
+         2, "config error: sweep.axis"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
@@ -434,7 +449,8 @@ class TestCli:
             "bpm_no_points", "bpm_negative_points", "bpm_zero_spot",
             "packet_zero_width", "optics_zero_index", "optics_zero_spacing",
             "lattice_zero_spacing", "lattice_negative_spacing",
-            "bpm_negative_absorber"])
+            "bpm_negative_absorber", "unread_grid_axis",
+            "unread_optics_axis"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):
@@ -685,3 +701,90 @@ class TestOtherTierRunners:
                 f"numerics.census_merge_um={merge}"]), str(out))
             observables.append((out / "fig5b_observables.csv").read_bytes())
         assert observables[0] != observables[1]
+
+
+# one small configuration every tier runs from; the cases below add the
+# branches on which a tier reads further keys
+READS_CONFIG = """
+[scenario]
+tier = two_level
+[lattice]
+n_sites = 16
+[drive]
+period_cm = 0.6676
+[input]
+width_sites = 4.0
+xi_span = 64.0
+n_points = 128
+width_xi = 8.0
+[numerics]
+z_end_cm = 0.05
+[bands]
+n_plane_waves = 41
+n_q = 8
+[sweep]
+axis = drive.phi0
+[output]
+prefix = rd
+"""
+
+_PHI0 = ("drive.kind=single_cycle", "drive.phi0=2.0")
+_DRIVES = (
+    _PHI0,
+    ("drive.kind=sinusoidal", "drive.amplitude_um=10.0"),
+    ("drive.kind=tabulated", "drive.table_z_cm=0.0,0.025,0.05,0.075",
+     "drive.table_phi=0.0,0.2,0.0,-0.2"),
+)
+_READ_CASES = {
+    "two_level": _DRIVES,
+    "tight_binding": (*_DRIVES,
+                      (*_PHI0, "input.packet=gaussian"),
+                      (*_PHI0, "numerics.boundary=hard_wall",
+                       "numerics.gauge=bare")),
+    "dirac": _DRIVES,
+    "bpm": (*_DRIVES, (*_PHI0, "input.theta_rad=0.001")),
+    "bands": ((), ("bands.dump_modes=1",)),
+    "sweep": ((*_PHI0, "sweep.values=1.0,2.0"),
+              (*_PHI0, "sweep.start=1.0", "sweep.stop=2.0", "sweep.step=1.0")),
+}
+
+
+class _RecordingSection(dict):
+    """A resolved config section that adds each key asked of it to
+    ``reads``, whether it is set or not."""
+
+    def __init__(self, name, keys, reads):
+        super().__init__(keys)
+        self._name, self._reads = name, reads
+
+    def __getitem__(self, key):
+        self._reads.add(f"{self._name}.{key}")
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._reads.add(f"{self._name}.{key}")
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_schema_names_the_keys_each_tier_reads(tier, tmp_path, monkeypatch):
+    # a key the tier reads but SCHEMA does not give it would be refused as
+    # a sweep axis; a key SCHEMA gives it but it never reads would be
+    # accepted and give a flat curve
+    reads = collections.defaultdict(set)
+
+    def section(self, name):
+        tier_of_run = self.resolved["scenario"]["tier"]
+        return _RecordingSection(name, self.resolved.get(name, {}),
+                                 reads[tier_of_run])
+
+    monkeypatch.setattr(Scenario, "section", section)
+    for i, overrides in enumerate(_READ_CASES[tier]):
+        scn = scenario_from_text(READS_CONFIG,
+                                 [f"scenario.tier={tier}", *overrides])
+        summary = run_scenario(scn, str(tmp_path / str(i)))["summary"]
+        assert summary.get("status", "ok") == "ok"
+    table = {f"{sec}.{key}" for sec, keys in SCHEMA.items()
+             for key, spec in keys.items() if tier in spec[3]}
+    assert sorted(reads[tier] - table) == []
+    assert sorted(table - reads[tier]) == []
