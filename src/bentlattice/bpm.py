@@ -3,10 +3,11 @@
 The solver works in the waveguide reference frame where the array is
 straight and the axis bending appears as a z-dependent linear potential.
 Both split-step substeps are pure phase multiplications, so with the
-boundary absorber disabled the scheme is exactly unitary on the periodic
-grid.  An alternative gauge moves the bending into a z-dependent momentum
-shift of the diffraction kernel; the two agree on band populations and the
-cross-check is one of the validation suites.
+boundary absorber at zero strength the scheme is exactly unitary on the
+periodic grid.  An alternative gauge (``bpm_run(gauge=...)``) moves the
+bending into a z-dependent momentum shift of the diffraction kernel; the
+two agree on band populations and the cross-check is one of the validation
+suites.
 
 ``bpm_run`` imports ``scipy.fft`` when it is called (its 8192-point FFT is
 a little faster than numpy's), so the other tiers never load it.
@@ -148,11 +149,11 @@ class FieldGrid:
 
 @dataclass(frozen=True)
 class AbsorberSpec:
-    """Raised-cosine damping ramp on the outer fraction of each grid side."""
+    """Raised-cosine damping ramp on the outer fraction of each grid side;
+    a strength of 0 turns it off."""
 
     fraction: float = 0.10
     strength_cm: float = 600.0
-    enabled: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 0.5:
@@ -165,9 +166,10 @@ class AbsorberSpec:
     def ramps(self, n: int):
         """Slices of the damped points on the left and right grid edges.
 
-        Empty when disabled or when the ramp is narrower than one point.
+        Empty at zero strength or when the ramp is narrower than one point,
+        so an absorber that damps nothing costs the step loop no work.
         """
-        n_ab = int(n * self.fraction) if self.enabled else 0
+        n_ab = int(n * self.fraction) if self.strength_cm else 0
         return (slice(0, n_ab), slice(n - n_ab, n)) if n_ab else ()
 
     def damping(self, n: int):

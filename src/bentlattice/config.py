@@ -5,7 +5,9 @@ per line, ``#`` comments, no nesting, no interpolation, no executable
 content.  Every key is declared below with its type (and enum values where
 applicable) and the tiers that read it; unknown keys, malformed values and
 sweep axes that the swept tier does not read raise ConfigError carrying the
-dotted field path.  A resolved configuration (defaults filled in) can be
+dotted field path.  Each quantity has one key: the waveguide spacing is
+``optics.spacing_um`` for every tier, and a zero BPM absorber strength
+turns the absorber off.  A resolved configuration (defaults filled in) can be
 dumped back to canonical text that reproduces the run bit for bit.
 """
 
@@ -25,8 +27,9 @@ from .two_level import MatrixKind
 TIERS = ("two_level", "tight_binding", "dirac", "bpm", "bands", "sweep")
 
 # the tiers that read a key, in groups: the lattice tiers build
-# SuperlatticeParams, every stepped tier builds its drive from [optics]
-# n_s, lambda_cm and spacing_um, and the optics tiers build OpticsParams
+# SuperlatticeParams (its spacing from [optics] spacing_um), every stepped
+# tier builds its drive from [optics] n_s, lambda_cm and spacing_um, and
+# the optics tiers build OpticsParams
 _LATTICE = ("two_level", "tight_binding", "dirac")
 _STEPPED = (*_LATTICE, "bpm")
 _OPTICS = ("bpm", "bands")
@@ -42,7 +45,6 @@ SCHEMA = {
     "lattice": {
         "sigma_cm": ("float", 2.0, None, _LATTICE),
         "delta_cm": ("float", 1.817, None, _LATTICE),
-        "spacing_um": ("float", 10.0, None, _LATTICE),
         # unused by the two-level and Dirac tiers, but checked there as
         # part of SuperlatticeParams (even and >= 4)
         "n_sites": ("int", 64, None, _LATTICE),
@@ -80,7 +82,6 @@ SCHEMA = {
         "n_points": ("int", 2048, None, ("dirac",)),
         "w0_um": ("float", 80.0, None, ("bpm",)),
         "theta_over_bragg": ("float", 0.5, None, ("bpm",)),
-        "theta_rad": ("float", None, None, ("bpm",)),
         "purify_band": ("bool", False, None, ("bpm",)),
     },
     "numerics": {
@@ -92,15 +93,12 @@ SCHEMA = {
         "matrix_kind": ("str", "full", tuple(m.value for m in MatrixKind),
                         ("two_level",)),
         "gauge": ("str", "gauged", ("bare", "gauged"), ("tight_binding",)),
-        "bpm_gauge": ("str", "bent_frame", ("bent_frame", "shifted_k"),
-                      ("bpm",)),
         "self_check": ("bool", False, None, _SOLVERS),
         "n_guides": ("int", 60, None, ("bpm",)),
         "grid_cells": ("int", 41, None, ("bpm",)),
         "grid_points": ("int", 4096, None, ("bpm",)),
         "absorber_fraction": ("float", 0.10, None, ("bpm",)),
         "absorber_strength_cm": ("float", 600.0, None, ("bpm",)),
-        "absorber_enabled": ("bool", True, None, ("bpm",)),
         "census_threshold": ("float", 0.1, None, ("bpm",)),
         "census_merge_um": ("float", None, None, ("bpm",)),
     },
@@ -296,6 +294,8 @@ def _validate_tier(resolved, tier):
     if resolved["bands"]["dump_modes"]:
         check("bands", "mode_q_index", lambda i: i < n_q,
               f"must be < bands.n_q = {n_q}")
+    if tier not in SCHEMA["drive"]["kind"][3]:
+        return
     drive = resolved["drive"]
     if drive["kind"] in ("sinusoidal", "single_cycle"):
         has_amp = drive.get("amplitude_um") is not None
@@ -361,7 +361,8 @@ class Scenario:
         lat = self.section("lattice")
         return SuperlatticeParams(
             sigma_cm=lat["sigma_cm"], delta_cm=lat["delta_cm"],
-            spacing_um=lat["spacing_um"], n_sites=lat["n_sites"])
+            spacing_um=self.section("optics")["spacing_um"],
+            n_sites=lat["n_sites"])
 
     def optics_params(self) -> OpticsParams:
         opt = self.section("optics")

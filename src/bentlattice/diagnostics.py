@@ -199,7 +199,7 @@ class Packet:
     center: float
     power: float
     fraction: float
-    velocity: float = None  # filled by track_packets
+    velocity: float = None  # filled by _fit_velocities
 
 
 def packet_census(x, intensity, threshold: float = 0.1,
@@ -250,15 +250,21 @@ def track_packets(z_values, x, intensities, threshold: float = 0.1,
     the last n_fit snapshots and its velocity estimated as the least-squares
     slope of centre versus z, which is robust to breathing oscillations.
     """
-    final = packet_census(x, intensities[-1], threshold, merge_radius)
-    n_avail = min(n_fit, len(z_values))
-    history = [packet_census(x, intensities[i], threshold, merge_radius)
-               for i in range(len(z_values) - n_avail, len(z_values))]
-    z_used = np.asarray(z_values[len(z_values) - n_avail:], dtype=float)
+    start = max(0, len(z_values) - max(1, n_fit))
+    censuses = [packet_census(x, intensities[i], threshold, merge_radius)
+                for i in range(start, len(z_values))]
+    return _fit_velocities(z_values[start:], censuses, n_fit, max_jump)
+
+
+def _fit_velocities(z_values, censuses, n_fit, max_jump=40.0):
+    """The last census, its packets given velocities from the trailing
+    ``n_fit`` censuses (one per snapshot at ``z_values``)."""
+    trailing = list(zip(z_values, censuses))[::-1][:n_fit]
+    final = censuses[-1]
     for packet in final:
         zs, cs = [], []
         ref = packet.center
-        for zi, census in zip(z_used[::-1], history[::-1]):
+        for zi, census in trailing:
             if not census:
                 continue
             nearest = min(census, key=lambda p: abs(p.center - ref))
@@ -281,7 +287,6 @@ class Observables:
     band_power: tuple
     remainder: float
     centroid_x: float
-    second_moment: float
     packet_count: int
     packets: list = field(default_factory=list)
 
@@ -289,7 +294,8 @@ class Observables:
 def observables_series(traj, bands: BandStructure = None,
                        threshold: float = 0.1, merge_radius: float = None,
                        n_fit: int = 5):
-    """Observables for every snapshot of a BPM trajectory."""
+    """Observables for every snapshot of a BPM trajectory; each snapshot's
+    packet census is taken once, the final one's with velocities."""
     grid = traj.grid
     if merge_radius is None:
         merge_radius = 2 * bands.optics.spacing_um if bands is not None else 20.0
@@ -298,6 +304,9 @@ def observables_series(traj, bands: BandStructure = None,
     intensities = np.abs(traj.fields) ** 2
     powers = traj.power()
     p_launch = powers[0]
+    censuses = [packet_census(x, w, threshold, merge_radius)
+                for w in intensities]
+    _fit_velocities(traj.z, censuses, n_fit)
     for i, z in enumerate(traj.z):
         if bands is not None:
             fg = traj.field_at(i)
@@ -309,18 +318,12 @@ def observables_series(traj, bands: BandStructure = None,
         else:
             band_power = ()
             remainder = 0.0
-        if i == len(traj.z) - 1:
-            packets = track_packets(traj.z, x, intensities, threshold,
-                                    merge_radius, n_fit)
-        else:
-            packets = packet_census(x, intensities[i], threshold, merge_radius)
         out.append(Observables(
             z=float(z),
             band_power=band_power,
             remainder=remainder,
             centroid_x=centroid(x, intensities[i]),
-            second_moment=second_moment(x, intensities[i]),
-            packet_count=len(packets),
-            packets=packets,
+            packet_count=len(censuses[i]),
+            packets=censuses[i],
         ))
     return out

@@ -218,8 +218,7 @@ def _run_bpm(scn: Scenario):
     bands_cfg = scn.section("bands")
     grid = bpm_mod.TransverseGrid.for_cells(optics, num["grid_cells"],
                                             num["grid_points"])
-    theta = (inp["theta_rad"] if inp.get("theta_rad") is not None
-             else inp["theta_over_bragg"] * bpm_mod.bragg_angle(optics))
+    theta = inp["theta_over_bragg"] * bpm_mod.bragg_angle(optics)
     field = bpm_mod.gaussian_tilted_input(inp["w0_um"], theta, optics, grid)
     band_structure = diag.bands_for_grid(
         optics, grid, n_plane_waves=bands_cfg["n_plane_waves"],
@@ -227,14 +226,12 @@ def _run_bpm(scn: Scenario):
     if inp["purify_band"]:
         field = diag.project_onto_band(field, band_structure, band=0)
     absorber = bpm_mod.AbsorberSpec(num["absorber_fraction"],
-                                    num["absorber_strength_cm"],
-                                    num["absorber_enabled"])
+                                    num["absorber_strength_cm"])
 
     def run(dz, snap=None):
         return bpm_mod.bpm_run(field, optics, profile, num["z_end_cm"],
                                dz_cm=dz, snapshot_every=snap,
-                               n_guides=num["n_guides"], absorber=absorber,
-                               gauge=bpm_mod.BpmGauge(num["bpm_gauge"]))
+                               n_guides=num["n_guides"], absorber=absorber)
 
     dz, snap = _step_plan(num, bpm_mod.DEFAULT_DZ_CM, 10)
     traj = run(dz, snap)

@@ -187,7 +187,7 @@ def test_criterion_8_property_suite():
     uniform = np.full(wide.n, optics.n_s)
     free_traj = bpm_run(free_field, optics, DriveProfile.straight(), 2.0,
                         dz_cm=5e-4, index_profile=uniform,
-                        absorber=AbsorberSpec(enabled=False))
+                        absorber=AbsorberSpec(strength_cm=0.0))
     fp = free_traj.power()
     if np.max(np.abs(fp / fp[0] - 1.0)) > 1e-10:
         failures.append("bpm power drift without absorber")

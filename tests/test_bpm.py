@@ -120,7 +120,7 @@ class TestFreeDiffraction:
         z_end = 2.0
         traj = bpm_run(field, optics, DriveProfile.straight(), z_end,
                        dz_cm=5e-4, index_profile=uniform,
-                       absorber=AbsorberSpec(enabled=False))
+                       absorber=AbsorberSpec(strength_cm=0.0))
         # 1/e amplitude half-width from the second moment of a Gaussian
         m2 = second_moment(grid.x_um, traj.final.intensity)
         measured = 2.0 * np.sqrt(m2)
@@ -134,7 +134,7 @@ class TestUnitarity:
         field = gaussian_tilted_input(80.0, bragg_angle(optics) / 2, optics,
                                       grid)
         traj = bpm_run(field, optics, drive, 1.0, dz_cm=5e-4, n_guides=40,
-                       absorber=AbsorberSpec(enabled=False),
+                       absorber=AbsorberSpec(strength_cm=0.0),
                        snapshot_every=500)
         power = traj.power()
         assert np.max(np.abs(power / power[0] - 1.0)) < 1e-10
@@ -250,6 +250,8 @@ class TestAbsorber:
 
     def test_zero_strength_damps_nothing(self):
         assert not np.any(AbsorberSpec(strength_cm=0.0).damping(100))
+        # and the step loop is handed no ramp to work on
+        assert AbsorberSpec(strength_cm=0.0).ramps(100) == ()
 
     def test_intake_escalates_to_error(self, optics):
         grid = TransverseGrid.for_cells(optics, n_cells=41, n_points=4096)

@@ -142,6 +142,20 @@ class TestPresets:
             scn.drive_profile()
             scn.optics_params()
 
+    def test_presets_set_only_keys_their_tier_reads(self):
+        # a preset line the tier never reads would look like a setting
+        # that matters; a sweep preset's lines may serve its swept tier
+        for name in preset_names():
+            data = parse_config_text(preset_text(name))
+            readers = {data["scenario"]["tier"]}
+            if readers == {"sweep"}:
+                readers.add(data.get("sweep", {}).get(
+                    "tier", SCHEMA["sweep"]["tier"][1]))
+            unread = [f"{section}.{key}" for section, keys in data.items()
+                      for key in keys
+                      if not readers & set(SCHEMA[section][key][3])]
+            assert unread == [], name
+
     def test_unknown_preset_raises(self):
         with pytest.raises(ConfigError):
             preset_text("fig99")
@@ -426,10 +440,10 @@ class TestCli:
          3, "n_s must be positive"),
         (["run", "--preset", "fig3b", "--set", "optics.spacing_um=0"],
          3, "spacing_um must be positive"),
-        (["run", "--preset", "fig3b", "--set", "lattice.spacing_um=0"],
-         3, "spacing_um must be positive"),
-        (["run", "--preset", "fig3b", "--set", "lattice.spacing_um=-1"],
-         3, "spacing_um must be positive"),
+        (["run", "--preset", "fig3b", "--set", "lattice.spacing_um=10"],
+         2, "config error: lattice.spacing_um: unknown key"),
+        (["sweep", "--preset", "fig3", "--set",
+          "sweep.axis=lattice.spacing_um"], 2, "config error: sweep.axis"),
         (["run", "--preset", "fig5b", "--set",
           "numerics.absorber_strength_cm=-5", "--set", "numerics.z_end_cm=1"],
          3, "absorber strength_cm must be non-negative"),
@@ -448,7 +462,7 @@ class TestCli:
             "dirac_no_points", "dirac_negative_points", "dirac_zero_span",
             "bpm_no_points", "bpm_negative_points", "bpm_zero_spot",
             "packet_zero_width", "optics_zero_index", "optics_zero_spacing",
-            "lattice_zero_spacing", "lattice_negative_spacing",
+            "lattice_spacing_removed", "lattice_spacing_axis",
             "bpm_negative_absorber", "unread_grid_axis",
             "unread_optics_axis"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
@@ -456,6 +470,17 @@ class TestCli:
         with np.errstate(all="ignore"):
             assert cli_main([*argv, "--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["tabulated", "sinusoidal"])
+    def test_bands_run_ignores_drive_keys(self, tmp_path, kind):
+        # the bands tier reads no drive key, so a drive that the stepped
+        # tiers would refuse as incomplete leaves the band diagram as it is
+        argv = ["bands", "--preset", "fig4_bands", "--set", "bands.n_q=8"]
+        assert cli_main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        assert cli_main([*argv, "--set", f"drive.kind={kind}",
+                         "--out", str(tmp_path / kind)]) == 0
+        assert ((tmp_path / kind / "fig4_bands.csv").read_bytes()
+                == (tmp_path / "plain" / "fig4_bands.csv").read_bytes())
 
     def test_sweep_of_non_finite_points_fails(self, tmp_path):
         # delta = 1e150 overflows every point's coupling, so each point's
@@ -742,7 +767,7 @@ _READ_CASES = {
                       (*_PHI0, "numerics.boundary=hard_wall",
                        "numerics.gauge=bare")),
     "dirac": _DRIVES,
-    "bpm": (*_DRIVES, (*_PHI0, "input.theta_rad=0.001")),
+    "bpm": _DRIVES,
     "bands": ((), ("bands.dump_modes=1",)),
     "sweep": ((*_PHI0, "sweep.values=1.0,2.0"),
               (*_PHI0, "sweep.start=1.0", "sweep.stop=2.0", "sweep.step=1.0")),

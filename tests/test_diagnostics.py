@@ -3,13 +3,15 @@ import pytest
 
 from bentlattice import (Branch, DriveProfile, OpticsParams,
                          SuperlatticeParams)
-from bentlattice.bpm import (FieldGrid, TransverseGrid, bragg_angle,
-                             gaussian_tilted_input)
+from bentlattice import diagnostics
+from bentlattice.bpm import (BpmTrajectory, FieldGrid, TransverseGrid,
+                             bragg_angle, gaussian_tilted_input)
 from bentlattice.diagnostics import (band_amplitudes, band_populations,
                                      bands_for_grid, centroid,
                                      lattice_transition_probability,
                                      miniband_transition_fraction,
-                                     packet_census, project_onto_band,
+                                     observables_series, packet_census,
+                                     project_onto_band,
                                      second_moment, track_packets)
 from bentlattice.errors import DegenerateGapError, ParameterError, ShapeError
 from bentlattice.tight_binding import (Gauge, ModeVector, bloch_eigenvector,
@@ -260,6 +262,34 @@ class TestVelocityTracking:
         assert len(vels) == 2
         assert vels[0] == pytest.approx(-10.0, abs=0.5)
         assert vels[1] == pytest.approx(+10.0, abs=0.5)
+
+    def test_series_takes_one_census_per_snapshot(self, monkeypatch):
+        grid = TransverseGrid.for_cells(OpticsParams(), n_cells=60,
+                                        n_points=2048)
+        x = grid.x_um
+        zs = np.linspace(0.0, 10.0, 11)
+        frames = np.array([np.exp(-2 * ((x - 30 - 10 * z) / 20.0) ** 2)
+                           + np.exp(-2 * ((x + 30 + 10 * z) / 20.0) ** 2)
+                           for z in zs])
+        traj = BpmTrajectory(zs, np.sqrt(frames).astype(complex), grid,
+                             np.zeros(len(zs)))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return packet_census(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "packet_census", counted)
+        obs = observables_series(traj, merge_radius=15.0)
+        assert len(calls) == len(zs)
+        # the final row carries the same packets and velocities that
+        # track_packets finds on its own
+        tracked = track_packets(zs, x, np.abs(traj.fields) ** 2,
+                                merge_radius=15.0)
+        assert [(p.center, p.velocity) for p in obs[-1].packets] == [
+            (p.center, p.velocity) for p in tracked]
+        assert len(tracked) == 2 and None not in [p.velocity for p in tracked]
+        assert all(p.velocity is None for row in obs[:-1] for p in row.packets)
 
 
 class TestGroupVelocityOracle:
