@@ -26,7 +26,7 @@ from . import drive as drv
 from .drive import CM_PER_UM
 from .errors import (DomainError, GeometryError, ParameterError, ShapeError,
                      require_positive)
-from .integrate import snapshot_stride, step_grid
+from .integrate import snapshot_steps, step_grid
 
 # fixed target step of the beam propagation, independent of the drive
 DEFAULT_DZ_CM = 5e-4
@@ -273,7 +273,7 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     if index_profile.shape != (grid.n,):
         raise ShapeError("index profile length must match the grid")
     n_steps, h = step_grid(z_end - field.z, dz_cm)
-    snapshot_every = snapshot_stride(snapshot_every, n_steps)
+    steps = snapshot_steps(n_steps, snapshot_every)
 
     x_cm = grid.x_cm
     k_cm = grid.k_cm
@@ -297,9 +297,10 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     absorbed_total = 0.0
     warned = False
 
-    zs = [field.z]
-    snaps = [env.copy()]
-    absorbed_track = [0.0]
+    fields = np.empty((len(steps), grid.n), dtype=complex)
+    fields[0] = env
+    absorbed = np.zeros(len(steps))
+    k = 1
     step_phase = None  # (drive value, phase array) of the previous step
     for i in range(n_steps):
         # the phases are rebuilt only when the drive changes, so straight
@@ -328,23 +329,21 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
             absorbed_total += float(
                 np.dot(part.real**2 + part.imag**2, edge_loss) * grid.dx_um)
             part *= edge_mask
-        z = field.z + (i + 1) * h
         intake = absorbed_total / p_launch
         if intake > intake_error:
             raise DomainError(
-                f"absorber intake {intake:.2e} of launch power at z = {z:.3g} "
-                "cm; widen the grid")
+                f"absorber intake {intake:.2e} of launch power at z = "
+                f"{field.z + (i + 1) * h:.3g} cm; widen the grid")
         if intake > intake_warn and not warned:
             warnings.warn(
                 f"absorber intake passed {intake_warn:.0e} of launch power",
                 stacklevel=2)
             warned = True
-        if (i + 1) % snapshot_every == 0 or i == n_steps - 1:
-            zs.append(z)
-            snaps.append(env.copy())
-            absorbed_track.append(absorbed_total / p_launch)
-    return BpmTrajectory(np.array(zs), np.array(snaps), grid,
-                         np.array(absorbed_track))
+        if i + 1 == steps[k]:
+            fields[k] = env
+            absorbed[k] = intake
+            k += 1
+    return BpmTrajectory(field.z + steps * h, fields, grid, absorbed)
 
 
 def gaussian_width_after(w0_um: float, z_cm: float, optics: OpticsParams) -> float:

@@ -45,9 +45,7 @@ SCHEMA = {
     "lattice": {
         "sigma_cm": ("float", 2.0, None, _LATTICE),
         "delta_cm": ("float", 1.817, None, _LATTICE),
-        # unused by the two-level and Dirac tiers, but checked there as
-        # part of SuperlatticeParams (even and >= 4)
-        "n_sites": ("int", 64, None, _LATTICE),
+        "n_sites": ("int", 64, None, ("tight_binding",)),
     },
     "optics": {
         "n_s": ("float", 1.42, None, _SOLVERS),
@@ -264,6 +262,14 @@ def _validate_tier(resolved, tier):
         if sweep["tier"] not in SCHEMA[sec][key][3]:
             raise ConfigError(f"the {sweep['tier']} tier does not read it",
                               f"sweep.axis={axis}")
+        if SCHEMA[sec][key][0] == "int":
+            # each point takes int(value), which would drop a fraction
+            given = ({"values": sweep["values"]} if sweep.get("values")
+                     else {"start": [sweep["start"]], "step": [sweep["step"]]})
+            for name, values in given.items():
+                if not all(float(v).is_integer() for v in values):
+                    raise ConfigError(f"must be whole numbers for the int "
+                                      f"axis {axis}", f"sweep.{name}")
         _validate_tier(resolved, sweep["tier"])
         return
 
@@ -358,11 +364,12 @@ class Scenario:
         return self.resolved.get(name, {})
 
     def lattice_params(self) -> SuperlatticeParams:
+        """The lattice constants at the default chain length, which only
+        the tight-binding tier replaces with ``lattice.n_sites``."""
         lat = self.section("lattice")
         return SuperlatticeParams(
             sigma_cm=lat["sigma_cm"], delta_cm=lat["delta_cm"],
-            spacing_um=self.section("optics")["spacing_um"],
-            n_sites=lat["n_sites"])
+            spacing_um=self.section("optics")["spacing_um"])
 
     def optics_params(self) -> OpticsParams:
         opt = self.section("optics")

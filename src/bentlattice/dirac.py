@@ -25,7 +25,8 @@ import numpy as np
 from . import drive as drv
 from .errors import (DegenerateGapError, DomainError, ParameterError,
                      ShapeError, require_positive)
-from .integrate import BLOCK_STEPS, default_dz, snapshot_stride, step_grid
+from .integrate import (default_dz, half_step_blocks, snapshot_steps,
+                        step_grid)
 from .tight_binding import Branch, Gauge, ModeVector, SuperlatticeParams
 
 
@@ -138,6 +139,7 @@ def gaussian_spinor_packet(grid: XiGrid, k0: float, width_xi: float,
     initial state is pure to machine precision (the projector test demands
     weight > 1 - 1e-6).
     """
+    require_positive(width_xi=width_xi)
     k = grid.k
     # the inverse transform lives on 0-based coordinates; shift so the
     # packet lands at center_xi of the (possibly negative) grid axis
@@ -194,19 +196,17 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
     scalar coefficients; adjacent half-mass steps are fused.  FFTs run only
     on the steps that need real space.  Raises DomainError when the packet
     support reaches the grid edge (checked at every snapshot and at the end
-    of every block of ``BLOCK_STEPS`` steps; the grid is periodic, so
-    overflow means wrap-around contamination).
+    of every block of ``integrate.half_step_blocks``; the grid is periodic,
+    so overflow means wrap-around contamination).
     """
     if dz is None:
         dz = default_dz(profile)
     n_steps, h = step_grid(z_end - field.z, dz)
-    snapshot_every = snapshot_stride(snapshot_every, n_steps)
+    steps = snapshot_steps(n_steps, snapshot_every)
     sigma, delta = params.sigma_cm, params.delta_cm
-    p1 = field.psi1.astype(complex)
-    p2 = field.psi2.astype(complex)
-    zs = [field.z]
-    s1 = [p1]
-    s2 = [p2]
+    snaps = np.empty((2, len(steps), field.grid.n), dtype=complex)
+    snaps[:, 0] = field.psi1, field.psi2
+    k = 1
     if _edge_density_fraction(field) > edge_tol:
         raise DomainError("initial support reaches the grid edge")
     # u runs one half mass step ahead of the state: enter maps (f1, f2) to
@@ -223,18 +223,18 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
     mass = np.array([[c, -1j * s], [-1j * s, c]])
     free = np.exp(-1j * sigma * h * field.grid.k)
     free = np.stack([free, np.conj(free)])
-    u = enter @ np.fft.fft(np.stack([p1, p2]))
-    for start in range(0, n_steps, BLOCK_STEPS):
-        stop = min(start + BLOCK_STEPS, n_steps)
-        z0 = field.z + np.arange(start, stop) * h
+    u = enter @ np.fft.fft(snaps[:, 0])
+    for i0, i1, zs in half_step_blocks(field.z, n_steps, h):
+        starts = zs[:-1:2]
         # exp(-i chi) = free * kick: the drive's share of each rotation,
         # followed by the fused mass step
-        kick = np.exp(2j * sigma * drv.phase_integral(profile, z0, z0 + h))
+        kick = np.exp(2j * sigma * drv.phase_integral(profile, starts,
+                                                      starts + h))
         maps = mass * np.stack([kick, np.conj(kick)], axis=-1)[:, None, :]
-        for i in range(start, stop):
-            u = maps[i - start] @ (free * u)
-            snapshot = (i + 1) % snapshot_every == 0 or i == n_steps - 1
-            if snapshot or (i + 1) % BLOCK_STEPS == 0:
+        for i in range(i0, i1):
+            u = maps[i - i0] @ (free * u)
+            snapshot = i + 1 == steps[k]
+            if snapshot or i + 1 == i1:
                 z = field.z + (i + 1) * h
                 p1, p2 = np.fft.ifft(leave @ u)
                 if _edge_density_fraction(
@@ -242,10 +242,9 @@ def dirac_evolve(field: SpinorField, profile: drv.DriveProfile,
                     raise DomainError(
                         f"packet support reached the grid edge at z = {z:.4g} cm")
                 if snapshot:
-                    zs.append(z)
-                    s1.append(p1)
-                    s2.append(p2)
-    return SpinorTrajectory(np.array(zs), np.array(s1), np.array(s2), field.grid)
+                    snaps[:, k] = p1, p2
+                    k += 1
+    return SpinorTrajectory(field.z + steps * h, *snaps, field.grid)
 
 
 def spinor_from_lattice(state: ModeVector, params: SuperlatticeParams) -> SpinorField:

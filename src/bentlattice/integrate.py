@@ -1,5 +1,5 @@
-"""The fixed-step rule shared by the propagating tiers, the half-step
-grid of the steppers, and the two steppers that read it.
+"""The fixed-step rule shared by the propagating tiers, their snapshot
+schedule and half-step blocks, and the two steppers that read them.
 
 Deterministic trajectories are a repo-wide requirement, so every
 propagating tier (two-level, tight-binding, spinor, BPM) steps the same
@@ -13,9 +13,12 @@ each an exact SU(2) exponential.  It serves the two-level tier and every
 periodic lattice run, where each Bloch momentum is its own sublattice
 pair.  ``rk4_evolve`` steps a state vector one RK4 step at a time and
 serves only the hard-wall lattice runs, which do not split by momentum.
-Both take the same arguments: the start z0, the step grid ``(n, h)``, the
-sorted snapshot steps (0 and n included) and an optional ``monitor(i, y)``
-called at each block end of ``half_step_blocks``.
+These two and the Strang loops ``dirac.dirac_evolve`` and ``bpm.bpm_run``
+share one contract: the start z0, the step grid ``(n, h)``, the sorted
+``snapshot_steps`` (0 and n included) and checks at the block ends of
+``half_step_blocks`` (an optional ``monitor(i, y)`` here, the packet-edge
+check of the spinor loop), so this module alone decides which steps are
+snapshots and where blocks end.
 """
 
 from __future__ import annotations
@@ -70,18 +73,13 @@ def step_grid(span: float, dz: float):
     return n, span / n
 
 
-def snapshot_stride(snapshot_every, n: int) -> int:
-    """Steps between snapshots; None keeps only the initial and final states."""
+def snapshot_steps(n: int, snapshot_every) -> np.ndarray:
+    """Step indices of the snapshots of an n-step run: every
+    ``snapshot_every`` steps from 0, and n; None keeps only 0 and n."""
     if snapshot_every is not None and snapshot_every < 1:
         raise ParameterError(
             f"snapshot_every must be >= 1, got {snapshot_every!r}")
-    return n if snapshot_every is None else snapshot_every
-
-
-def snapshot_steps(n: int, stride: int) -> np.ndarray:
-    """Step indices of the snapshots of an n-step run: every ``stride``
-    steps from 0, and n."""
-    steps = np.arange(0, n + 1, stride)
+    steps = np.arange(0, n + 1, snapshot_every or n)
     return steps if steps[-1] == n else np.append(steps, n)
 
 

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -130,7 +131,8 @@ def _lattice_input_state(scn: Scenario, params, gauge):
 
 
 def _run_tight_binding(scn: Scenario):
-    params = scn.lattice_params()
+    params = replace(scn.lattice_params(),
+                     n_sites=scn.section("lattice")["n_sites"])
     profile = scn.drive_profile()
     num = scn.section("numerics")
     gauge = scn.gauge()

@@ -33,7 +33,7 @@ from .drive import CM_PER_UM
 from .errors import (AccuracyError, DegenerateGapError, ParameterError,
                      require_positive)
 from .integrate import (_advance, default_dz, rk4_evolve, snapshot_steps,
-                        snapshot_stride, step_grid)
+                        step_grid)
 
 
 class Gauge(str, Enum):
@@ -305,7 +305,7 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
     if dz is None:
         dz = default_dz(profile)
     n, h = step_grid(z_end - state.z, dz)
-    steps = snapshot_steps(n, snapshot_stride(snapshot_every, n))
+    steps = snapshot_steps(n, snapshot_every)
     y0 = state.amplitudes.astype(complex)
     p0 = state.power
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import drive as drv
 from .errors import AccuracyError, DegenerateGapError, ParameterError
 from .integrate import (TREE_RUNS, _advance, default_dz, snapshot_steps,
-                        snapshot_stride, step_grid)
+                        step_grid)
 from .tight_binding import SuperlatticeParams, _splitting
 
 
@@ -241,13 +241,13 @@ def _matrix_coefficients(kind, q, params, phis):
 @dataclass(frozen=True)
 class TwoLevelRun:
     """One validated run: its initial state, its step grid ``(n, h)``, its
-    snapshot stride and ``coefficients(zs) -> (z11, z12)`` at z samples."""
+    snapshot steps and ``coefficients(zs) -> (z11, z12)`` at z samples."""
 
     state: TwoLevelState
     matrix_kind: MatrixKind
     n: int
     h: float
-    stride: int
+    steps: np.ndarray
     coefficients: Callable
 
 
@@ -268,7 +268,7 @@ def plan_run(state: TwoLevelState, profile: drv.DriveProfile,
     if dz is None:
         dz = default_dz(profile)
     n, h = step_grid(z_end - state.z, dz)
-    stride = snapshot_stride(snapshot_every, n)
+    steps = snapshot_steps(n, snapshot_every)
     kind = MatrixKind(matrix_kind)
 
     def coefficients(zs):
@@ -276,7 +276,7 @@ def plan_run(state: TwoLevelState, profile: drv.DriveProfile,
                                     drv.phase(profile, zs))
 
     coefficients(state.z + np.array([0, 2 * n]) * (h / 2))
-    return TwoLevelRun(state, kind, n, h, stride, coefficients)
+    return TwoLevelRun(state, kind, n, h, steps, coefficients)
 
 
 def _stacked_coefficients(runs):
@@ -289,15 +289,14 @@ def _stacked_coefficients(runs):
 
 
 def evolve_batch(runs) -> list:
-    """Advance runs sharing one start z, step grid and snapshot stride
+    """Advance runs sharing one start z, step grid and snapshot steps
     together; each trajectory equals that of a separate ``evolve`` call bit
     for bit.  The norm-drift check is left to ``check_norm``, per run."""
-    z0, n, h, stride = grid = (runs[0].state.z, runs[0].n, runs[0].h,
-                               runs[0].stride)
-    if any((r.state.z, r.n, r.h, r.stride) != grid for r in runs):
+    z0, n, h, steps = (runs[0].state.z, runs[0].n, runs[0].h, runs[0].steps)
+    if any((r.state.z, r.n, r.h) != (z0, n, h)
+           or not np.array_equal(r.steps, steps) for r in runs):
         raise ParameterError(
-            "batched runs must share start z, step grid and snapshot stride")
-    steps = snapshot_steps(n, stride)
+            "batched runs must share start z, step grid and snapshot steps")
     # (n_snapshots, B, 2), columns (r_minus, r_plus)
     r = np.empty((len(steps), len(runs), 2), dtype=complex)
     # TREE_RUNS runs at a time keep the full-length blocks, so every run
@@ -360,7 +359,7 @@ def transition_probability(profile: drv.DriveProfile, params: SuperlatticeParams
             raise ParameterError(
                 "drive-on interval must be an integer number of cycles")
     traj = evolve(ground_state(q, params), profile, params, matrix_kind,
-                  z_end=drive_length, dz=dz, snapshot_every=10**9)
+                  z_end=drive_length, dz=dz, snapshot_every=None)
     return float(traj.transition_probability[-1])
 
 

@@ -452,6 +452,11 @@ class TestCli:
          2, "config error: sweep.axis"),
         (["sweep", "--preset", "fig3", "--set", "sweep.axis=optics.dn1"],
          2, "config error: sweep.axis"),
+        (["sweep", "--preset", "fig3", "--set", "drive.phi0=4", "--set",
+          "sweep.axis=lattice.n_sites", "--set", "sweep.values=8,64"],
+         2, "config error: sweep.axis"),
+        (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
+          "--set", "input.width_xi=-16"], 3, "width_xi must be positive"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
@@ -464,12 +469,38 @@ class TestCli:
             "packet_zero_width", "optics_zero_index", "optics_zero_spacing",
             "lattice_spacing_removed", "lattice_spacing_axis",
             "bpm_negative_absorber", "unread_grid_axis",
-            "unread_optics_axis"])
+            "unread_optics_axis", "two_level_unread_n_sites_axis",
+            "dirac_negative_width"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):
             assert cli_main([*argv, "--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, field", [
+        (["sweep.values=16.7,16.2"], "sweep.values"),
+        (["sweep.start=16.5", "sweep.stop=20", "sweep.step=2"], "sweep.start"),
+        (["sweep.start=16", "sweep.stop=20", "sweep.step=2.5"], "sweep.step"),
+        (["sweep.start=16", "sweep.stop=20", "sweep.step=2"], None),
+    ], ids=["values", "start", "step", "whole_range"])
+    def test_int_axis_takes_whole_numbers(self, tmp_path, capsys, overrides,
+                                          field):
+        # each point's int(value) would otherwise drop the fraction and
+        # repeat a row
+        argv = ["sweep", "--preset", "fig3", "--set",
+                "sweep.tier=tight_binding", "--set",
+                "sweep.axis=lattice.n_sites", "--set", "numerics.z_end_cm=0.1"]
+        for item in overrides:
+            argv += ["--set", item]
+        code = cli_main([*argv, "--out", str(tmp_path)])
+        if field is not None:
+            assert code == 2
+            assert f"config error: {field}" in capsys.readouterr().err
+            return
+        assert code == 0
+        _, rows = read_csv(tmp_path / "fig3_sweep.csv")
+        assert [(row[3], row[5]) for row in rows] == [
+            (16.0, "ok"), (18.0, "ok"), (20.0, "ok")]
 
     @pytest.mark.parametrize("kind", ["tabulated", "sinusoidal"])
     def test_bands_run_ignores_drive_keys(self, tmp_path, kind):

@@ -17,8 +17,7 @@ from bentlattice.dirac import (SpinorField, XiGrid, band_weights, branch_spinor,
                                spinor_from_lattice)
 from bentlattice.diagnostics import (lattice_transition_probability,
                                      packet_census)
-from bentlattice.integrate import (BLOCK_STEPS, default_dz, snapshot_stride,
-                                   step_grid)
+from bentlattice.integrate import BLOCK_STEPS, default_dz, step_grid
 from bentlattice.tight_binding import (ModeVector, bloch_mode_state,
                                        dispersion, evolve_gauged,
                                        gaussian_packet_state)
@@ -178,7 +177,7 @@ def _reference_evolve(field, profile, params, z_end, dz=None,
     if dz is None:
         dz = default_dz(profile)
     n_steps, h = step_grid(z_end - field.z, dz)
-    snapshot_every = snapshot_stride(snapshot_every, n_steps)
+    snapshot_every = snapshot_every or n_steps
     k = field.grid.k
     sigma, delta = params.sigma_cm, params.delta_cm
     em = np.exp(-1j * delta * h / 2.0)
@@ -257,10 +256,10 @@ class TestMomentumSpaceStepper:
                and node.name == "dirac_evolve"]
         loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
         assert [ast.unparse(node.iter) for node in loops] == [
-            "range(0, n_steps, BLOCK_STEPS)", "range(start, stop)"]
+            "half_step_blocks(field.z, n_steps, h)", "range(i0, i1)"]
         checks = [node for node in ast.walk(loops[0])
                   if isinstance(node, ast.If) and ast.unparse(node.test)
-                  == "snapshot or (i + 1) % BLOCK_STEPS == 0"]
+                  == "snapshot or i + 1 == i1"]
         assert len(checks) == 1
         guarded = {id(node) for node in ast.walk(checks[0])}
         ffts = [node for node in ast.walk(loops[0])

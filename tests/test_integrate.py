@@ -13,7 +13,7 @@ from bentlattice.bpm import (OpticsParams, TransverseGrid, bpm_run,
                              gaussian_tilted_input)
 from bentlattice.dirac import XiGrid, dirac_evolve, gaussian_spinor_packet
 from bentlattice.integrate import (BLOCK_STEPS, default_dz, rk4_evolve,
-                                   snapshot_steps, snapshot_stride, step_grid)
+                                   snapshot_steps, step_grid)
 from bentlattice.tight_binding import (Boundary, Branch, Gauge, ModeVector,
                                        SuperlatticeParams, bloch_mode_state,
                                        evolve_bare, evolve_gauged)
@@ -41,11 +41,12 @@ class TestStepRule:
         with pytest.raises(ParameterError):
             step_grid(span, dz)
 
-    def test_snapshot_stride(self):
-        assert snapshot_stride(None, 40) == 40
-        assert snapshot_stride(7, 40) == 7
+    def test_snapshot_steps(self):
+        np.testing.assert_array_equal(snapshot_steps(40, None), [0, 40])
+        np.testing.assert_array_equal(snapshot_steps(40, 7),
+                                      [0, 7, 14, 21, 28, 35, 40])
         with pytest.raises(ParameterError):
-            snapshot_stride(0, 40)
+            snapshot_steps(40, 0)
 
 
 # step counts on either side of the first two block ends
@@ -70,7 +71,7 @@ class TestRk4Stepper:
         every = runs[1]
         assert len(every.z) == n + 1
         for stride, traj in runs.items():
-            steps = snapshot_steps(n, snapshot_stride(stride, n))
+            steps = snapshot_steps(n, stride)
             np.testing.assert_array_equal(traj.z, every.z[steps])
             np.testing.assert_array_equal(traj.states, every.states[steps])
 
@@ -126,6 +127,40 @@ def _bpm(drive, dz=None, **kw):
     return bpm_run(field, optics, drive, 0.1, n_guides=16, **kw)
 
 
+class TestStrangSnapshots:
+    """The spinor and BPM loops keep the states of their stride-1 runs at
+    ``snapshot_steps``, bit for bit, as the hard-wall lattice runs do."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_dirac_states_do_not_depend_on_the_stride(self, n):
+        drive = DriveProfile.from_phase_amplitude("single_cycle", 1.0, 0.6676)
+        runs = {stride: _dirac(drive, dz=0.1 / n, snapshot_every=stride)
+                for stride in (1, 7, None)}
+        every = runs[1]
+        assert len(every.z) == n + 1
+        for stride, traj in runs.items():
+            steps = snapshot_steps(n, stride)
+            np.testing.assert_array_equal(traj.z, every.z[steps])
+            np.testing.assert_array_equal(traj.psi1, every.psi1[steps])
+            np.testing.assert_array_equal(traj.psi2, every.psi2[steps])
+
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_bpm_states_do_not_depend_on_the_stride(self, n):
+        drive = DriveProfile.from_phase_amplitude("single_cycle", 1.0, 0.1)
+        # coarse steps take up to a quarter of the power into the absorber
+        runs = {stride: _bpm(drive, dz=0.1 / n, snapshot_every=stride,
+                             intake_warn=1.0, intake_error=1.0)
+                for stride in (1, 7, None)}
+        every = runs[1]
+        assert len(every.z) == n + 1 and every.absorbed[-1] > 0
+        for stride, traj in runs.items():
+            steps = snapshot_steps(n, stride)
+            np.testing.assert_array_equal(traj.z, every.z[steps])
+            np.testing.assert_array_equal(traj.fields, every.fields[steps])
+            np.testing.assert_array_equal(traj.absorbed,
+                                          every.absorbed[steps])
+
+
 @pytest.mark.parametrize("bad", [{"dz": 0.0}, {"dz": -1e-3},
                                  {"snapshot_every": 0}],
                          ids=["dz_zero", "dz_negative", "snapshot_zero"])
@@ -166,6 +201,19 @@ def test_source_holds_one_lattice_bloch_basis():
     for module in ("tight_binding.py", "diagnostics.py"):
         text = (SRC / module).read_text(encoding="utf-8")
         assert "to_sublattice_pairs(" in text
+
+
+def test_source_holds_one_snapshot_schedule_and_one_block_loop():
+    # integrate.py alone decides which steps are snapshots and where blocks
+    # end; every stepping tier asks it for its snapshot steps
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "integrate.py":
+            text = path.read_text(encoding="utf-8")
+            assert "% snapshot_every" not in text, path.name
+            assert not re.search(r"range\([^()]*BLOCK_STEPS", text), path.name
+    for module in ("two_level.py", "tight_binding.py", "dirac.py", "bpm.py"):
+        text = (SRC / module).read_text(encoding="utf-8")
+        assert "snapshot_steps(" in text, module
 
 
 def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():

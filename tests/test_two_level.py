@@ -8,7 +8,8 @@ from scipy.linalg import expm
 from bentlattice import (AccuracyError, Branch, DegenerateGapError,
                          DomainError, DriveProfile, ParameterError,
                          SuperlatticeParams)
-from bentlattice.integrate import MAX_STEP_ANGLE, TREE_STEPS, _step_maps
+from bentlattice.integrate import (MAX_STEP_ANGLE, TREE_STEPS, _step_maps,
+                                   snapshot_steps)
 from bentlattice.tight_binding import bloch_eigenvector, dispersion
 from bentlattice.two_level import (TREE_RUNS, DiracUnitsMap,
                                    MatrixKind, PhysicalConstants,
@@ -340,7 +341,8 @@ class TestComposedStepper:
             return coefficients
 
         runs = [TwoLevelRun(TwoLevelState(r0[0, b], r0[1, b], z0),
-                            MatrixKind.FULL, n, h, stride, table(b))
+                            MatrixKind.FULL, n, h, snapshot_steps(n, stride),
+                            table(b))
                 for b in range(n_runs)]
         steps = sorted({*range(0, n + 1, stride), n})
         reference, angle = _magnus_reference(r0, z11, z12, h, steps)
