@@ -9,6 +9,16 @@ bending into a z-dependent momentum shift of the diffraction kernel; the
 two agree on band populations and the cross-check is one of the validation
 suites.
 
+The step loop costs little more than its FFT pair.  The static half-step
+phase exp(-i V h/2) is built once.  Where the drive changes, the linear
+factor of the step (exp(-i b x h/2) in the bent frame, the kernel's
+exp(2i D k Int(Phi)/a) in the shifted gauge, with D the diffraction
+coefficient) is linear in the grid index on each half of the FFT ordering,
+so ``_linear_phase`` builds it as the outer product of two exp vectors of
+about sqrt(n) points.  Each absorber ramp costs one square and one dot on
+the float view of the field, and the intake ratio is taken only once the
+absorbed power nears a threshold.
+
 ``bpm_run`` imports ``scipy.fft`` when it is called (its 8192-point FFT is
 a little faster than numpy's), so the other tiers never load it.
 """
@@ -227,6 +237,21 @@ def gaussian_tilted_input(w0_um: float, theta_rad: float, optics: OpticsParams,
     return FieldGrid(env.astype(complex), grid, 0.0).normalized()
 
 
+def _linear_phase(n, offset, slope):
+    """exp(-i (offset + slope j)) for j = 0 .. n - 1.
+
+    With n = m r for the largest divisor m of n at or below sqrt(n), the
+    index splits as j = r a + b, so the n exponentials become the outer
+    product of m row factors and r column factors.  At a prime n the split
+    degenerates to one factor of length n, which is the direct form.
+    """
+    m = next(d for d in range(max(math.isqrt(n), 1), 0, -1) if n % d == 0)
+    r = n // m
+    rows = np.exp(-1j * (offset + (slope * r) * np.arange(m)))
+    cols = np.exp(-1j * slope * np.arange(r))
+    return np.multiply.outer(rows, cols).ravel()
+
+
 class BpmGauge(str, Enum):
     BENT_FRAME = "bent_frame"
     SHIFTED_K = "shifted_k"
@@ -262,12 +287,17 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     each step midpoint; shifted_k keeps the potential static and shifts the
     diffraction kernel by Phi(z)/a with exact per-step phase integrals.
     Absorbed power beyond ``intake_warn`` of the launch power warns, beyond
-    ``intake_error`` raises DomainError.
+    ``intake_error`` raises DomainError naming the step's z.  A launch power
+    or threshold that is not positive and finite is a ParameterError.
     """
     import scipy.fft as sfft
 
+    require_positive(intake_warn=intake_warn, intake_error=intake_error)
     gauge = BpmGauge(gauge)
     grid = field.grid
+    env = field.envelope.astype(complex)
+    p_launch = float(np.sum(np.abs(env) ** 2) * grid.dx_um)
+    require_positive(launch_power=p_launch)
     if index_profile is None:
         index_profile = build_index_profile(optics, n_guides, grid)
     if index_profile.shape != (grid.n,):
@@ -275,73 +305,86 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     n_steps, h = step_grid(z_end - field.z, dz_cm)
     steps = snapshot_steps(n_steps, snapshot_every)
 
-    x_cm = grid.x_cm
-    k_cm = grid.k_cm
+    n = grid.n
+    x0_cm, dx_cm = grid.x_min_um * CM_PER_UM, grid.dx_um * CM_PER_UM
+    diffraction = optics.diffraction_cm
     v_static = 2 * np.pi * (optics.n_s - index_profile) / optics.wavelength_cm
-    kinetic = np.exp(-1j * optics.diffraction_cm * k_cm**2 * h)
-    mask = np.exp(-absorber.damping(grid.n) * h)
-    # power removed per step is sum |env|^2 (1 - mask^2) over the ramps
-    edges = [(s, mask[s], 1.0 - mask[s] ** 2) for s in absorber.ramps(grid.n)]
+    static_half = np.exp(-1j * v_static * (h / 2))
+    kinetic = np.exp(-1j * diffraction * grid.k_cm**2 * h)
+    mask = np.exp(-absorber.damping(n) * h)
+    # power removed per step is dx sum |env|^2 (1 - mask^2) over the ramps;
+    # on the float view of a ramp each weight serves a (re, im) pair
+    edges = [(s, np.repeat(mask[s], 2),
+              np.repeat((1.0 - mask[s] ** 2) * grid.dx_um, 2))
+             for s in absorber.ramps(n)]
+    # below this absorbed power neither intake threshold can be passed:
+    # rounding is monotone, so absorbed / p_launch > t needs
+    # absorbed >= t * p_launch as rounded
+    intake_gate = min(intake_warn, intake_error) * p_launch
     a_cm = optics.spacing_cm
     z_start = field.z + np.arange(n_steps) * h
     if gauge is BpmGauge.BENT_FRAME:
+        # slope b of the bend's linear potential b x at each step midpoint
         bends = drv.force(profile, z_start + h / 2) / a_cm
     else:
-        phase_half = np.exp(-1j * v_static * (h / 2))
-        # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over each step
+        # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over each step;
+        # k is linear in the fft index on each half of the fft ordering
         phi_ints = drv.phase_integral(profile, z_start, z_start + h)
         phi_sq_ints = drv.phase_sq_integral(profile, z_start, z_start + h)
+        dk = 2 * np.pi / (n * dx_cm)
+        n_pos = (n + 1) // 2
 
-    env = field.envelope.astype(complex)
-    p_launch = float(np.sum(np.abs(env) ** 2) * grid.dx_um)
     absorbed_total = 0.0
     warned = False
-
-    fields = np.empty((len(steps), grid.n), dtype=complex)
+    fields = np.empty((len(steps), n), dtype=complex)
     fields[0] = env
     absorbed = np.zeros(len(steps))
     k = 1
-    step_phase = None  # (drive value, phase array) of the previous step
+    phase_half, kernel = static_half, kinetic
+    step_drive = None  # drive value of the current phases
     for i in range(n_steps):
-        # the phases are rebuilt only when the drive changes, so straight
-        # stretches of the axis reuse the previous step's arrays
+        # the drive's phase factor is rebuilt only when the drive changes,
+        # so straight stretches of the axis reuse the previous step's array
         if gauge is BpmGauge.BENT_FRAME:
-            if step_phase is None or bends[i] != step_phase[0]:
-                step_phase = (bends[i], np.exp(
-                    -1j * (v_static + bends[i] * x_cm) * (h / 2)))
-            phase_half = step_phase[1]
-            kernel = kinetic
+            if bends[i] != step_drive:
+                step_drive = bends[i]
+                c = step_drive * (h / 2)
+                phase_half = static_half * _linear_phase(n, c * x0_cm,
+                                                         c * dx_cm)
         else:
             ints = (phi_ints[i], phi_sq_ints[i])
-            if step_phase is None or ints != step_phase[0]:
-                chi = optics.diffraction_cm * (
-                    k_cm**2 * h - 2 * k_cm * ints[0] / a_cm
-                    + ints[1] / a_cm**2)
-                step_phase = (ints, np.exp(-1j * chi))
-            kernel = step_phase[1]
+            if ints != step_drive:
+                step_drive = ints
+                offset = diffraction * ints[1] / a_cm**2
+                slope = -2 * diffraction * ints[0] / a_cm * dk
+                # the negative half of the ordering starts at -(n // 2) dk
+                kernel = np.concatenate((
+                    _linear_phase(n_pos, offset, slope),
+                    _linear_phase(n // 2, offset - slope * (n // 2), slope)))
+                kernel *= kinetic
         env *= phase_half
         spectrum = sfft.fft(env, overwrite_x=True)
         spectrum *= kernel
         env = sfft.ifft(spectrum, overwrite_x=True)
         env *= phase_half
         for edge, edge_mask, edge_loss in edges:
-            part = env[edge]
-            absorbed_total += float(
-                np.dot(part.real**2 + part.imag**2, edge_loss) * grid.dx_um)
+            part = env[edge].view(float)
+            absorbed_total += np.dot(np.square(part), edge_loss)
             part *= edge_mask
-        intake = absorbed_total / p_launch
-        if intake > intake_error:
-            raise DomainError(
-                f"absorber intake {intake:.2e} of launch power at z = "
-                f"{field.z + (i + 1) * h:.3g} cm; widen the grid")
-        if intake > intake_warn and not warned:
-            warnings.warn(
-                f"absorber intake passed {intake_warn:.0e} of launch power",
-                stacklevel=2)
-            warned = True
+        if absorbed_total >= intake_gate:
+            intake = absorbed_total / p_launch
+            if intake > intake_error:
+                raise DomainError(
+                    f"absorber intake {intake:.2e} of launch power at z = "
+                    f"{field.z + (i + 1) * h:.6g} cm; widen the grid")
+            if intake > intake_warn and not warned:
+                warnings.warn(
+                    f"absorber intake passed {intake_warn:.0e} of launch "
+                    "power", stacklevel=2)
+                warned = True
         if i + 1 == steps[k]:
             fields[k] = env
-            absorbed[k] = intake
+            absorbed[k] = absorbed_total / p_launch
             k += 1
     return BpmTrajectory(field.z + steps * h, fields, grid, absorbed)
 

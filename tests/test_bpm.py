@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,9 +8,9 @@ from bentlattice import (DomainError, DriveProfile, GeometryError,
                          OpticsParams, ParameterError)
 from bentlattice import drive as drv
 from bentlattice.bpm import (AbsorberSpec, BpmGauge, ChannelShape,
-                             TransverseGrid, bpm_run, bragg_angle,
-                             build_index_profile, gaussian_tilted_input,
-                             gaussian_width_after)
+                             FieldGrid, TransverseGrid, _linear_phase,
+                             bpm_run, bragg_angle, build_index_profile,
+                             gaussian_tilted_input, gaussian_width_after)
 from bentlattice.diagnostics import (band_populations, bands_for_grid,
                                      project_onto_band, second_moment)
 
@@ -140,18 +141,23 @@ class TestUnitarity:
         assert np.max(np.abs(power / power[0] - 1.0)) < 1e-10
 
 
-def strang_reference(field, optics, profile, z_end, dz_cm, gauge, n_guides,
-                     absorber):
-    """Plain Strang loop: every phase rebuilt each step, numpy FFTs."""
+def strang_steps(field, optics, profile, z_end, dz_cm, gauge, index_profile,
+                 absorber):
+    """Plain Strang loop: every phase rebuilt each step, numpy FFTs.
+
+    Yields each step's end z, envelope and absorber intake (power absorbed
+    so far over the launch power).
+    """
     grid = field.grid
     n_steps = int(round((z_end - field.z) / dz_cm))
     h = (z_end - field.z) / n_steps
     a_cm = optics.spacing_cm
     k_cm = grid.k_cm
-    v_static = (2 * np.pi * (optics.n_s - build_index_profile(
-        optics, n_guides, grid)) / optics.wavelength_cm)
+    v_static = 2 * np.pi * (optics.n_s - index_profile) / optics.wavelength_cm
     mask = np.exp(-absorber.damping(grid.n) * h)
     env = field.envelope.astype(complex)
+    p_launch = np.sum(np.abs(env) ** 2) * grid.dx_um
+    absorbed = 0.0
     for i in range(n_steps):
         z = field.z + i * h
         if gauge is BpmGauge.BENT_FRAME:
@@ -165,16 +171,42 @@ def strang_reference(field, optics, profile, z_end, dz_cm, gauge, n_guides,
                 - 2 * k_cm * drv.phase_integral(profile, z, z + h) / a_cm
                 + drv.phase_sq_integral(profile, z, z + h) / a_cm**2))
         env = half * np.fft.ifft(kernel * np.fft.fft(half * env))
+        absorbed += np.sum(np.abs(env) ** 2 * (1 - mask**2)) * grid.dx_um
         env = env * mask
+        yield field.z + (i + 1) * h, env, absorbed / p_launch
+
+
+def strang_reference(field, optics, profile, z_end, dz_cm, gauge, n_guides,
+                     absorber):
+    """Final envelope of ``strang_steps`` on a ``n_guides`` array."""
+    index_profile = build_index_profile(optics, n_guides, field.grid)
+    for _, env, _ in strang_steps(field, optics, profile, z_end, dz_cm,
+                                  gauge, index_profile, absorber):
+        pass
     return env
 
 
+class TestLinearPhase:
+    @pytest.mark.parametrize("n", [8192, 999, 1021, 1])
+    def test_matches_direct_exp(self, n):
+        # 8192 = 64 x 128, 999 = 27 x 37, and the prime 1021 is one factor
+        x0, dx, c = -0.041, 1e-5, 2.0e3
+        x = x0 + dx * np.arange(n)
+        out = _linear_phase(n, c * x0, c * dx)
+        assert np.max(np.abs(out - np.exp(-1j * c * x))) < 1e-13
+
+
 class TestStrangStep:
-    @pytest.mark.parametrize("gauge", list(BpmGauge))
-    def test_matches_per_step_reference(self, optics, gauge):
+    # 1021 is prime, so the factored phases fall back to one exp vector
+    @pytest.mark.parametrize(("gauge", "n_points"), [
+        (BpmGauge.BENT_FRAME, 1024), (BpmGauge.SHIFTED_K, 1024),
+        (BpmGauge.BENT_FRAME, 1021), (BpmGauge.SHIFTED_K, 1021)],
+        ids=["bent_frame", "shifted_k", "bent_frame-prime", "shifted_k-prime"])
+    def test_matches_per_step_reference(self, optics, gauge, n_points):
         # the bending cycle ends at z = 0.2 of 0.3 cm, so the cached phases
         # are used on both sides of the change to a straight axis
-        grid = TransverseGrid.for_cells(optics, n_cells=40, n_points=1024)
+        grid = TransverseGrid.for_cells(optics, n_cells=40,
+                                        n_points=n_points)
         field = gaussian_tilted_input(40.0, bragg_angle(optics) / 2, optics,
                                       grid)
         drive = DriveProfile.single_cycle(5.0, 0.2)
@@ -260,9 +292,15 @@ class TestAbsorber:
         uniform = np.full(grid.n, optics.n_s)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the warn threshold trips first
-            with pytest.raises(DomainError, match="absorber"):
+            with pytest.raises(DomainError, match="absorber") as info:
                 bpm_run(field, optics, DriveProfile.straight(), 6.0,
                         dz_cm=1e-3, index_profile=uniform)
+        # the error names the first step whose intake passes 1e-2
+        z_ref = next(z for z, _, intake in strang_steps(
+            field, optics, DriveProfile.straight(), 6.0, 1e-3,
+            BpmGauge.BENT_FRAME, uniform, AbsorberSpec()) if intake > 1e-2)
+        z_flagged = re.search(r"z = (\S+) cm", str(info.value))[1]
+        assert z_flagged == f"{z_ref:.6g}"
 
     def test_intake_warns_before_error(self, optics):
         grid = TransverseGrid.for_cells(optics, n_cells=41, n_points=4096)
@@ -274,3 +312,25 @@ class TestAbsorber:
             bpm_run(field, optics, DriveProfile.straight(), 6.0, dz_cm=1e-3,
                     index_profile=uniform, intake_error=2.0)
         assert any("absorber" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("thresholds", [
+        {"intake_error": np.nan}, {"intake_warn": np.nan},
+        {"intake_error": 0.0}, {"intake_warn": -1e-3},
+        {"intake_error": np.inf}])
+    def test_bad_intake_threshold_rejected(self, optics, grid, thresholds):
+        # a NaN error level would never be passed and so never raise
+        field = gaussian_tilted_input(80.0, 0.0, optics, grid)
+        name = next(iter(thresholds))
+        with pytest.raises(ParameterError, match=name):
+            bpm_run(field, optics, DriveProfile.straight(), 1e-3,
+                    **thresholds)
+
+
+class TestLaunchPower:
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_dead_or_non_finite_launch_rejected(self, optics, grid, value):
+        # the intake is a fraction of the launch power, which must be a
+        # positive number
+        field = FieldGrid(np.full(grid.n, value, dtype=complex), grid)
+        with pytest.raises(ParameterError, match="launch_power"):
+            bpm_run(field, optics, DriveProfile.straight(), 1e-3)
