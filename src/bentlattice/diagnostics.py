@@ -1,5 +1,11 @@
 """Observable extraction: band populations, transition probability, packets.
 
+Each observable has one entry: ``band_amplitudes`` and ``band_populations``
+for the continuum minibands, ``lattice_band_amplitudes`` and
+``lattice_transition_probability`` for the lattice branches (a state or a
+trajectory, in either gauge), and ``observables_series`` for the per-snapshot
+band powers and packet census of a BPM run.
+
 Continuum band projections require the transverse window to span a whole
 number of lattice cells; every window momentum then folds onto exactly one
 Brillouin-zone representative and the Bloch modes of the window form an
@@ -8,7 +14,7 @@ orthonormal set, which makes the projections exactly power-complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +23,7 @@ from .bands import BandStructure, grid_q_values, plane_wave_bands
 from .bpm import FieldGrid, OpticsParams, TransverseGrid
 from .drive import CM_PER_UM
 from .errors import ParameterError, ShapeError
-from .tight_binding import (Branch, Gauge, LatticeTrajectory, ModeVector,
+from .tight_binding import (Branch, Gauge, LatticeTrajectory,
                             SuperlatticeParams, _branch_vector,
                             sublattice_transform, to_sublattice_pairs)
 
@@ -44,7 +50,6 @@ def _check_projection_setup(fieldgrid: FieldGrid, bands: BandStructure):
     if len(bands.q_values) != n_classes:
         raise ShapeError("band structure was not built for this grid "
                          "(use bands_for_grid)")
-    return n_classes
 
 
 def _window_bins(grid: TransverseGrid, bands: BandStructure):
@@ -64,9 +69,10 @@ def band_amplitudes(fieldgrid: FieldGrid, bands: BandStructure):
     """Complex overlap amplitudes with every Bloch mode of the window.
 
     Returns an (n_q, n_bands) array; |amps|^2 sums to the power carried by
-    the projected bands (unit-power fields give fractions directly).
+    the projected bands (unit-power fields give fractions directly).  All
+    momenta are projected in one stacked product.
     """
-    n_q = _check_projection_setup(fieldgrid, bands)
+    _check_projection_setup(fieldgrid, bands)
     grid = fieldgrid.grid
     window_cm = grid.width_um * CM_PER_UM
     k_all = grid.k_cm
@@ -74,11 +80,12 @@ def band_amplitudes(fieldgrid: FieldGrid, bands: BandStructure):
     ehat = (np.fft.fft(fieldgrid.envelope) * grid.dx_um * CM_PER_UM
             * np.exp(-1j * k_all * grid.x_min_um * CM_PER_UM))
     _, bins, usable = _window_bins(grid, bands)
-    amps = np.empty((n_q, bands.n_bands), dtype=complex)
-    for iq in range(n_q):
-        spectrum = np.where(usable[iq], ehat[bins[iq]], 0.0)
-        amps[iq] = (bands.coeffs[iq].T @ spectrum) / np.sqrt(window_cm)
-    return amps
+    spectrum = np.where(usable, ehat[bins], 0.0)
+    # (n_bands, n_g) @ (n_g, 1) per momentum, as a stacked matmul: the same
+    # products as one matrix-vector product per momentum, bit for bit
+    # (einsum sums in another order)
+    amps = (np.swapaxes(bands.coeffs, 1, 2) @ spectrum[:, :, None])[:, :, 0]
+    return amps / np.sqrt(window_cm)
 
 
 def band_populations(fieldgrid: FieldGrid, bands: BandStructure,
@@ -88,13 +95,6 @@ def band_populations(fieldgrid: FieldGrid, bands: BandStructure,
     power_cm = fieldgrid.power * CM_PER_UM
     fractions = np.sum(np.abs(amps) ** 2, axis=0) / power_cm
     return fractions[:n_bands]
-
-
-def miniband_transition_fraction(fieldgrid: FieldGrid,
-                                 bands: BandStructure) -> float:
-    """Upper-miniband share of the two-miniband power, the continuum P."""
-    b1, b2 = band_populations(fieldgrid, bands, n_bands=2)
-    return float(b2 / (b1 + b2))
 
 
 def project_onto_band(fieldgrid: FieldGrid, bands: BandStructure,
@@ -122,8 +122,25 @@ def project_onto_band(fieldgrid: FieldGrid, bands: BandStructure,
 # lattice projections
 # ---------------------------------------------------------------------------
 
-def _band_amplitudes(amplitudes, params: SuperlatticeParams):
-    """Per-q (r_minus, r_plus) of gauged site amplitudes shaped (..., n)."""
+def lattice_band_amplitudes(source, params: SuperlatticeParams,
+                            profile: drv.DriveProfile = None):
+    """Per-q occupation amplitudes (qa, r_minus, r_plus) of a lattice state
+    or trajectory.
+
+    Bare-gauge input is gauge-transformed first, which needs the drive.  A
+    state gives amplitudes shaped (n/2,); a trajectory gives them shaped
+    (n_snapshots, n/2), all snapshots projected in one product.
+    """
+    if source.gauge is Gauge.BARE and profile is None:
+        raise ParameterError("bare-gauge input needs the drive profile")
+    amplitudes = (source.states if isinstance(source, LatticeTrajectory)
+                  else source.amplitudes)
+    if source.gauge is Gauge.BARE:
+        # gauge_transform of each snapshot (a state is one):
+        # a_l = c_l exp(+i Phi(z) l)
+        phi = drv.phase(profile, source.z)
+        amplitudes = amplitudes * np.exp(1j * np.multiply.outer(phi,
+                                                                params.sites))
     qa_values, transform = sublattice_transform(params)
     s1, s2 = np.moveaxis(to_sublattice_pairs(amplitudes, transform), -1, 0)
     vm = _branch_vector(qa_values, Branch.MINUS, params)
@@ -131,50 +148,16 @@ def _band_amplitudes(amplitudes, params: SuperlatticeParams):
     return qa_values, vm[0] * s1 + vm[1] * s2, vp[0] * s1 + vp[1] * s2
 
 
-def lattice_band_amplitudes(state: ModeVector, params: SuperlatticeParams):
-    """Per-q occupation amplitudes (r_minus, r_plus) of a gauged state."""
-    if state.gauge is not Gauge.GAUGED:
-        raise ParameterError("lattice projections need gauged amplitudes "
-                             "(gauge_transform first)")
-    return _band_amplitudes(state.amplitudes, params)
-
-
 def lattice_transition_probability(source, params: SuperlatticeParams,
-                                   profile: drv.DriveProfile = None,
-                                   q_resolved: bool = False):
-    """Upper-branch power fraction of a lattice state or trajectory.
-
-    Bare-gauge input is gauge-transformed first (requires the drive).  A
-    state is projected as a single snapshot and gives a float; a trajectory
-    gives one fraction per snapshot, all snapshots projected in one
-    product.  With q_resolved a state gives the per-momentum fractions
-    P(q) = |r+|^2/(|r-|^2 + |r+|^2) together with the per-momentum weights;
-    a trajectory with q_resolved is rejected.
-    """
-    if source.gauge is Gauge.BARE and profile is None:
-        raise ParameterError("bare-gauge input needs the drive profile")
-    trajectory = isinstance(source, LatticeTrajectory)
-    if q_resolved and trajectory:
-        raise ParameterError(
-            "q_resolved needs a single state; pass one snapshot of the "
-            "trajectory")
-    amplitudes = source.states if trajectory else source.amplitudes
-    if source.gauge is Gauge.BARE:
-        # gauge_transform of each snapshot (a state is one):
-        # a_l = c_l exp(+i Phi(z) l)
-        phi = drv.phase(profile, source.z)
-        amplitudes = amplitudes * np.exp(1j * np.multiply.outer(phi,
-                                                                params.sites))
-    qa_values, r_minus, r_plus = _band_amplitudes(amplitudes, params)
-    pm = np.abs(r_minus) ** 2
-    pp = np.abs(r_plus) ** 2
-    if q_resolved:
-        weights = pm + pp
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pq = np.where(weights > 0, pp / weights, 0.0)
-        return qa_values, pq, weights / weights.sum()
-    p = np.sum(pp, axis=-1) / (np.sum(pm, axis=-1) + np.sum(pp, axis=-1))
-    return p if trajectory else float(p)
+                                   profile: drv.DriveProfile = None):
+    """Upper-branch power fraction, summed over the amplitudes of
+    ``lattice_band_amplitudes``: a float for a state, one fraction per
+    snapshot for a trajectory."""
+    _, r_minus, r_plus = lattice_band_amplitudes(source, params, profile)
+    pm = np.sum(np.abs(r_minus) ** 2, axis=-1)
+    pp = np.sum(np.abs(r_plus) ** 2, axis=-1)
+    p = pp / (pm + pp)
+    return p if isinstance(source, LatticeTrajectory) else float(p)
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +224,6 @@ def packet_census(x, intensity, threshold: float = 0.1,
     return packets
 
 
-def track_packets(z_values, x, intensities, threshold: float = 0.1,
-                  merge_radius: float = 20.0, n_fit: int = 5,
-                  max_jump: float = 40.0):
-    """Census of the final snapshot with velocities from the trailing snapshots.
-
-    Each final packet is traced backwards by nearest-centre matching over
-    the last n_fit snapshots and its velocity estimated as the least-squares
-    slope of centre versus z, which is robust to breathing oscillations.
-    """
-    start = max(0, len(z_values) - max(1, n_fit))
-    censuses = [packet_census(x, intensities[i], threshold, merge_radius)
-                for i in range(start, len(z_values))]
-    return _fit_velocities(z_values[start:], censuses, n_fit, max_jump)
-
-
 def _fit_velocities(z_values, censuses, n_fit, max_jump=40.0):
     """The last census, its packets given velocities from the trailing
     ``n_fit`` censuses (one per snapshot at ``z_values``)."""
@@ -287,43 +255,36 @@ class Observables:
     band_power: tuple
     remainder: float
     centroid_x: float
-    packet_count: int
-    packets: list = field(default_factory=list)
+    packets: list
 
 
-def observables_series(traj, bands: BandStructure = None,
-                       threshold: float = 0.1, merge_radius: float = None,
-                       n_fit: int = 5):
+def observables_series(traj, bands: BandStructure, threshold: float = 0.1,
+                       merge_radius: float = None, n_fit: int = 5):
     """Observables for every snapshot of a BPM trajectory; each snapshot's
-    packet census is taken once, the final one's with velocities."""
-    grid = traj.grid
+    packet census is taken once, the final one's with velocities.
+
+    ``bands`` must come from ``bands_for_grid`` on the trajectory's grid;
+    the census merge radius defaults to two lattice spacings.
+    """
     if merge_radius is None:
-        merge_radius = 2 * bands.optics.spacing_um if bands is not None else 20.0
-    x = grid.x_um
-    out = []
+        merge_radius = 2 * bands.optics.spacing_um
+    x = traj.grid.x_um
     intensities = np.abs(traj.fields) ** 2
-    powers = traj.power()
-    p_launch = powers[0]
+    powers = intensities.sum(axis=1) * traj.grid.dx_um
     censuses = [packet_census(x, w, threshold, merge_radius)
                 for w in intensities]
     _fit_velocities(traj.z, censuses, n_fit)
+    out = []
     for i, z in enumerate(traj.z):
-        if bands is not None:
-            fg = traj.field_at(i)
-            # fractions of the launch power, so the remainder column also
-            # accounts for what the absorber removed
-            pops = band_populations(fg, bands, n_bands=2) * (powers[i] / p_launch)
-            remainder = max(0.0, 1.0 - float(np.sum(pops)))
-            band_power = tuple(float(p) for p in pops)
-        else:
-            band_power = ()
-            remainder = 0.0
+        # fractions of the launch power, so the remainder column also
+        # accounts for what the absorber removed
+        pops = (band_populations(traj.field_at(i), bands, n_bands=2)
+                * (powers[i] / powers[0]))
         out.append(Observables(
             z=float(z),
-            band_power=band_power,
-            remainder=remainder,
+            band_power=tuple(float(p) for p in pops),
+            remainder=max(0.0, 1.0 - float(np.sum(pops))),
             centroid_x=centroid(x, intensities[i]),
-            packet_count=len(censuses[i]),
             packets=censuses[i],
         ))
     return out

@@ -150,7 +150,14 @@ def gaussian_spinor_packet(grid: XiGrid, k0: float, width_xi: float,
     psi1 = np.fft.ifft(envelope * spinors[0])
     psi2 = np.fft.ifft(envelope * spinors[1])
     field = SpinorField(psi1.astype(complex), psi2.astype(complex), grid, 0.0)
-    scale = 1.0 / np.sqrt(field.norm)
+    norm = field.norm
+    if not 0 < norm < np.inf:
+        # a momentum envelope narrower than the grid's k spacing can miss
+        # every grid momentum and underflow to zero
+        raise ParameterError(
+            f"width_xi = {width_xi!r} leaves the packet no weight on the "
+            f"grid momenta (norm {norm!r}); use a width below the xi span")
+    scale = 1.0 / np.sqrt(norm)
     field.psi1 *= scale
     field.psi2 *= scale
     return field
@@ -178,6 +185,9 @@ def _edge_density_fraction(field: SpinorField, edge_fraction=0.02):
     n_edge = max(2, int(field.grid.n * edge_fraction))
     edge = max(dens[:n_edge].max(), dens[-n_edge:].max())
     peak = dens.max()
+    if not np.isfinite(peak):
+        raise DomainError(
+            f"field density is not finite at z = {field.z:.4g} cm")
     return edge / peak if peak > 0 else 0.0
 
 

@@ -247,7 +247,7 @@ def _run_bpm(scn: Scenario):
         "miniband_transition": float(final_pops[1] / final_pops.sum()),
         "absorbed": float(traj.absorbed[-1]),
         "centroid_final_um": obs[-1].centroid_x,
-        "n_packets_final": obs[-1].packet_count,
+        "n_packets_final": len(obs[-1].packets),
         "packet_velocities": [p.velocity for p in obs[-1].packets],
         "phi0": drv.phase_amplitude(profile),
     }
@@ -259,7 +259,7 @@ def _run_bpm(scn: Scenario):
         rows = []
         for o in obs:
             row = [o.z, *o.band_power, o.remainder, o.centroid_x,
-                   float(o.packet_count)]
+                   float(len(o.packets))]
             for p in o.packets:
                 row.extend([p.center, p.power,
                             p.velocity if p.velocity is not None else 0.0])

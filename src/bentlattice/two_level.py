@@ -85,10 +85,6 @@ def zone_edge_k(q, params: SuperlatticeParams) -> float:
     return 2.0 * float(q) * params.spacing_cm - np.pi
 
 
-def q_from_zone_edge_k(k, params: SuperlatticeParams) -> float:
-    return (np.pi + float(k)) / (2.0 * params.spacing_cm)
-
-
 def free_energy(k, params: SuperlatticeParams) -> float:
     """eps(k) = sqrt(delta^2 + sigma^2 k^2), in 1/cm."""
     return float(np.sqrt(params.delta_cm**2 + (params.sigma_cm * float(k)) ** 2))
@@ -363,12 +359,6 @@ def transition_probability(profile: drv.DriveProfile, params: SuperlatticeParams
     return float(traj.transition_probability[-1])
 
 
-def _mean_splitting(q, phis, params: SuperlatticeParams) -> float:
-    """Mean of the splitting w(qa - phi) over phase samples."""
-    qa = float(q) * params.spacing_cm
-    return float(_splitting(qa - phis, params).mean())
-
-
 def quasi_energy(q, phi0, params: SuperlatticeParams) -> float:
     """Cycle-averaged splitting for a sinusoidal drive of amplitude phi0.
 
@@ -378,15 +368,8 @@ def quasi_energy(q, phi0, params: SuperlatticeParams) -> float:
     period.
     """
     y = np.arange(4096) * (2 * np.pi / 4096)
-    return _mean_splitting(q, phi0 * np.sin(y), params)
-
-
-def quasi_energy_for_drive(q, profile: drv.DriveProfile,
-                           params: SuperlatticeParams, n: int = 4096) -> float:
-    """Cycle-averaged splitting for an arbitrary periodic drive profile."""
-    y = np.arange(n) * (2 * np.pi / n)
-    return _mean_splitting(
-        q, drv.phase(profile, profile.period_cm * y / (2 * np.pi)), params)
+    qa = float(q) * params.spacing_cm
+    return float(_splitting(qa - phi0 * np.sin(y), params).mean())
 
 
 def resonance_period(n: int, q, phi0, params: SuperlatticeParams) -> float:

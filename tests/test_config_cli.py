@@ -457,6 +457,9 @@ class TestCli:
          2, "config error: sweep.axis"),
         (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
           "--set", "input.width_xi=-16"], 3, "width_xi must be positive"),
+        (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
+          "--set", "input.width_xi=1e6", "--set", "input.qa_over_pi=0.2501"],
+         3, "width_xi = 1000000.0 leaves the packet no weight"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
@@ -470,7 +473,7 @@ class TestCli:
             "lattice_spacing_removed", "lattice_spacing_axis",
             "bpm_negative_absorber", "unread_grid_axis",
             "unread_optics_axis", "two_level_unread_n_sites_axis",
-            "dirac_negative_width"])
+            "dirac_negative_width", "dirac_underflowing_width"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):

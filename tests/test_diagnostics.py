@@ -8,11 +8,10 @@ from bentlattice.bpm import (BpmTrajectory, FieldGrid, TransverseGrid,
                              bragg_angle, gaussian_tilted_input)
 from bentlattice.diagnostics import (band_amplitudes, band_populations,
                                      bands_for_grid, centroid,
+                                     lattice_band_amplitudes,
                                      lattice_transition_probability,
-                                     miniband_transition_fraction,
                                      observables_series, packet_census,
-                                     project_onto_band,
-                                     second_moment, track_packets)
+                                     project_onto_band, second_moment)
 from bentlattice.errors import DegenerateGapError, ParameterError, ShapeError
 from bentlattice.tight_binding import (Gauge, ModeVector, bloch_eigenvector,
                                        bloch_mode_state, dispersion)
@@ -66,9 +65,8 @@ class TestBandPopulations:
                                                 window_bands):
         field = gaussian_tilted_input(80.0, bragg_angle(optics) / 2, optics,
                                       grid)
-        share = 1.0 - miniband_transition_fraction(field, window_bands)
-        assert share > 0.9
         pops = band_populations(field, window_bands, 2)
+        assert pops[0] / pops.sum() > 0.9
         # the raw tilted Gaussian also launches radiation modes, so the
         # absolute lowest-band fraction sits noticeably below the in-band share
         assert pops[0] == pytest.approx(0.768, abs=0.01)
@@ -120,13 +118,11 @@ class TestLatticeProjection:
     def test_two_band_completeness(self, params):
         state = bloch_mode_state(params.q_from_qa(np.pi / 4), Branch.MINUS,
                                  params)
-        from bentlattice.diagnostics import lattice_band_amplitudes
         qa, r_minus, r_plus = lattice_band_amplitudes(state, params)
         recovered = np.sum(np.abs(r_minus) ** 2 + np.abs(r_plus) ** 2)
         assert recovered == pytest.approx(state.power, rel=1e-12)
 
     def test_band_amplitudes_match_per_q_loop(self, params):
-        from bentlattice.diagnostics import lattice_band_amplitudes
         from bentlattice.tight_binding import (sublattice_transform,
                                                to_sublattice_pairs)
         rng = np.random.default_rng(3)
@@ -160,7 +156,6 @@ class TestLatticeProjection:
 
     @pytest.mark.parametrize("gauge", [Gauge.GAUGED, Gauge.BARE])
     def test_trajectory_equals_per_snapshot_loop(self, params, gauge):
-        from bentlattice.diagnostics import lattice_band_amplitudes
         from bentlattice.tight_binding import (Boundary, evolve_bare,
                                                evolve_gauged, gauge_transform,
                                                gaussian_packet_state)
@@ -171,12 +166,16 @@ class TestLatticeProjection:
         traj = evolver(state, params, drive, 1.0, dz=2.8556 / 4000,
                        snapshot_every=100, boundary=Boundary.HARD_WALL)
         batched = lattice_transition_probability(traj, params, drive)
+        _, rm_traj, rp_traj = lattice_band_amplitudes(traj, params, drive)
 
         # each snapshot taken to the gauged frame and projected on its own
-        def upper_fraction(i):
+        def amplitudes(i):
             snapshot = ModeVector(traj.states[i], gauge, float(traj.z[i]))
-            _, r_minus, r_plus = lattice_band_amplitudes(
-                gauge_transform(snapshot, drive, Gauge.GAUGED), params)
+            return lattice_band_amplitudes(
+                gauge_transform(snapshot, drive, Gauge.GAUGED), params)[1:]
+
+        def upper_fraction(i):
+            r_minus, r_plus = amplitudes(i)
             pm, pp = np.sum(np.abs(r_minus) ** 2), np.sum(np.abs(r_plus) ** 2)
             return pp / (pm + pp)
 
@@ -184,23 +183,31 @@ class TestLatticeProjection:
         assert batched.shape == (len(traj.z),)
         assert np.max(np.abs(batched - looped)) < 1e-14
         assert np.max(batched) > 1e-3  # the drive moved power upwards
+        # the trajectory's amplitudes are the per-snapshot ones, stacked
+        assert rm_traj.shape == rp_traj.shape == (len(traj.z),
+                                                  params.n_sites // 2)
+        looped_rm, looped_rp = zip(*(amplitudes(i)
+                                     for i in range(len(traj.z))))
+        assert np.max(np.abs(rm_traj - np.array(looped_rm))) < 1e-14
+        assert np.max(np.abs(rp_traj - np.array(looped_rp))) < 1e-14
 
-    def test_q_resolved_trajectory_rejected(self, params, single_cycle_b):
+    def test_snapshot_resolves_in_q(self, params, single_cycle_b):
         from bentlattice.tight_binding import evolve_gauged
         state = bloch_mode_state(params.q_from_qa(np.pi / 4), Branch.MINUS,
                                  params)
         traj = evolve_gauged(state, params, single_cycle_b, 0.1,
                              snapshot_every=50)
-        with pytest.raises(ParameterError, match="q_resolved"):
-            lattice_transition_probability(traj, params, q_resolved=True)
-        # a single snapshot still resolves in q
+        # P(q) of one snapshot from its per-momentum amplitudes
         final = ModeVector(traj.states[-1], Gauge.GAUGED, float(traj.z[-1]))
-        qa, pq, weights = lattice_transition_probability(final, params,
-                                                         q_resolved=True)
-        assert qa.shape == pq.shape == weights.shape == (params.n_sites // 2,)
+        qa, r_minus, r_plus = lattice_band_amplitudes(final, params)
+        pm, pp = np.abs(r_minus) ** 2, np.abs(r_plus) ** 2
+        assert qa.shape == pm.shape == pp.shape == (params.n_sites // 2,)
+        i0 = np.argmax(pm + pp)
+        assert qa[i0] == pytest.approx(np.pi / 4, abs=1e-12)
+        assert np.sum(pp) / np.sum(pm + pp) == pytest.approx(
+            lattice_transition_probability(final, params), abs=1e-15)
 
     def test_band_amplitudes_reject_closed_gap(self):
-        from bentlattice.diagnostics import lattice_band_amplitudes
         gapless = SuperlatticeParams(2.0, 0.0, n_sites=64)
         state = bloch_mode_state(gapless.q_from_qa(np.pi / 4), Branch.MINUS,
                                  gapless)
@@ -251,21 +258,11 @@ class TestPacketCensus:
 
 
 class TestVelocityTracking:
-    def test_counter_moving_pair(self):
-        x = np.linspace(-300, 300, 3001)
-        zs = np.linspace(0.0, 5.0, 6)
-        frames = [np.exp(-2 * ((x - 30 - 10 * z) / 20.0) ** 2)
-                  + np.exp(-2 * ((x + 30 + 10 * z) / 20.0) ** 2)
-                  for z in zs]
-        packets = track_packets(zs, x, np.array(frames), merge_radius=15.0)
-        vels = sorted(p.velocity for p in packets if p.velocity is not None)
-        assert len(vels) == 2
-        assert vels[0] == pytest.approx(-10.0, abs=0.5)
-        assert vels[1] == pytest.approx(+10.0, abs=0.5)
-
-    def test_series_takes_one_census_per_snapshot(self, monkeypatch):
-        grid = TransverseGrid.for_cells(OpticsParams(), n_cells=60,
-                                        n_points=2048)
+    @pytest.fixture(scope="class")
+    def counter_moving(self):
+        """A synthetic BPM trajectory of two packets moving at +-10 um/cm."""
+        optics = OpticsParams()
+        grid = TransverseGrid.for_cells(optics, n_cells=60, n_points=2048)
         x = grid.x_um
         zs = np.linspace(0.0, 10.0, 11)
         frames = np.array([np.exp(-2 * ((x - 30 - 10 * z) / 20.0) ** 2)
@@ -273,6 +270,21 @@ class TestVelocityTracking:
                            for z in zs])
         traj = BpmTrajectory(zs, np.sqrt(frames).astype(complex), grid,
                              np.zeros(len(zs)))
+        return traj, bands_for_grid(optics, grid, n_plane_waves=41,
+                                    n_bands=2)
+
+    def test_counter_moving_pair(self, counter_moving):
+        traj, bands = counter_moving
+        obs = observables_series(traj, bands, merge_radius=15.0)
+        vels = sorted(p.velocity for p in obs[-1].packets)
+        assert len(vels) == 2
+        assert vels[0] == pytest.approx(-10.0, abs=0.5)
+        assert vels[1] == pytest.approx(+10.0, abs=0.5)
+        assert all(p.velocity is None for row in obs[:-1] for p in row.packets)
+
+    def test_series_takes_one_census_per_snapshot(self, counter_moving,
+                                                  monkeypatch):
+        traj, bands = counter_moving
         calls = []
 
         def counted(*args, **kwargs):
@@ -280,16 +292,8 @@ class TestVelocityTracking:
             return packet_census(*args, **kwargs)
 
         monkeypatch.setattr(diagnostics, "packet_census", counted)
-        obs = observables_series(traj, merge_radius=15.0)
-        assert len(calls) == len(zs)
-        # the final row carries the same packets and velocities that
-        # track_packets finds on its own
-        tracked = track_packets(zs, x, np.abs(traj.fields) ** 2,
-                                merge_radius=15.0)
-        assert [(p.center, p.velocity) for p in obs[-1].packets] == [
-            (p.center, p.velocity) for p in tracked]
-        assert len(tracked) == 2 and None not in [p.velocity for p in tracked]
-        assert all(p.velocity is None for row in obs[:-1] for p in row.packets)
+        obs = observables_series(traj, bands, merge_radius=15.0)
+        assert len(calls) == len(traj.z) == len(obs)
 
 
 class TestGroupVelocityOracle:

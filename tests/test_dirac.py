@@ -155,6 +155,13 @@ class TestPackets:
             dirac_evolve(field, DriveProfile.straight(), params, z_end=8.0,
                          dz=1e-3, snapshot_every=200)
 
+    def test_non_finite_field_raises(self, params):
+        # a NaN peak must not read as a packet clear of the edge
+        grid = XiGrid.centered(256.0, 2048)
+        field = gaussian_spinor_packet(grid, -np.pi / 2, 16.0, params)
+        field.psi1[grid.n // 2] = np.nan
+        with pytest.raises(DomainError, match="not finite"):
+            dirac_evolve(field, DriveProfile.straight(), params, z_end=0.1)
 
     def test_edge_checked_between_snapshots(self, params):
         # the packet crosses the periodic edge near z = 13 cm and is back

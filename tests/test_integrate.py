@@ -288,3 +288,23 @@ def test_source_holds_one_float_format_and_one_check_cadence():
     assert len(re.findall(r"\.17g", text)) == 1
     assert "_SizedRows" not in text
     assert "CHECK_EVERY" not in text
+
+
+def test_source_holds_one_entry_per_observable():
+    # each diagnostics observable has one entry: the continuum projection
+    # is one stacked product over momenta, the census squares each
+    # snapshot once, and the bare-gauge lattice transform is written once
+    text = (SRC / "diagnostics.py").read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert not [node for node in ast.walk(functions["band_amplitudes"])
+                if isinstance(node, (ast.For, ast.comprehension))]
+    series = ast.get_source_segment(text, functions["observables_series"])
+    assert series.count("np.abs(traj.fields)") == 1
+    assert text.count("np.multiply.outer(phi") == 1
+    source = _source_text()
+    for removed in ("track_packets", "miniband_transition_fraction",
+                    "q_resolved", "_band_amplitudes", "packet_count",
+                    "q_from_zone_edge_k", "quasi_energy_for_drive"):
+        assert not re.search(rf"\b{removed}\b", source), removed

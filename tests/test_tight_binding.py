@@ -17,7 +17,8 @@ from bentlattice.tight_binding import (Boundary, ModeVector,
                                        to_sublattice_pairs)
 from bentlattice.two_level import evolve as tl_evolve
 from bentlattice.two_level import ground_state
-from bentlattice.diagnostics import lattice_transition_probability
+from bentlattice.diagnostics import (lattice_band_amplitudes,
+                                     lattice_transition_probability)
 
 
 def cell_matrix(qa, phi, params):
@@ -461,14 +462,14 @@ class TestTwoLevelReduction:
         traj = evolve_bare(bare0, big, drive, z_end, dz=dz,
                            boundary=Boundary.HARD_WALL)
         mapped = gauge_transform(traj.final, drive, Gauge.GAUGED)
-        qa_values, p_q, weights = lattice_transition_probability(
-            mapped, big, q_resolved=True)
-        i0 = np.argmax(weights)
+        qa_values, r_minus, r_plus = lattice_band_amplitudes(mapped, big)
+        pm, pp = np.abs(r_minus) ** 2, np.abs(r_plus) ** 2
+        i0 = np.argmax(pm + pp)
         assert qa_values[i0] == pytest.approx(np.pi / 4, abs=1e-12)
         ref = tl_evolve(ground_state(qa_values[i0] / big.spacing_cm, big),
                         drive, big, z_end=z_end, dz=dz, snapshot_every=10**9)
-        assert p_q[i0] == pytest.approx(ref.transition_probability[-1],
-                                        abs=1e-6)
+        assert pp[i0] / (pm[i0] + pp[i0]) == pytest.approx(
+            ref.transition_probability[-1], abs=1e-6)
 
 
 class TestPacketTransport:

@@ -18,8 +18,8 @@ from bentlattice.two_level import (TREE_RUNS, DiracUnitsMap,
                                    coupling_matrix_reduced, evolve,
                                    evolve_batch, free_energy, ground_state,
                                    physical_energy, plan_run, quasi_energy,
-                                   quasi_energy_for_drive, resonance_period,
-                                   transition_probability, zone_edge_k)
+                                   resonance_period, transition_probability,
+                                   zone_edge_k)
 
 
 def sublattice_matrix(qa, phi, params):
@@ -384,16 +384,6 @@ class TestQuasiEnergy:
             minus = quasi_energy(params.q_from_qa(-qa), -phi0, params)
             assert plus == pytest.approx(minus, rel=1e-12)
 
-    def test_drive_shape_variant_matches_sinusoid(self, params, q_quarter,
-                                                  resonant_drive):
-        direct = quasi_energy(q_quarter, 0.4, params)
-        from bentlattice.drive import phase_amplitude
-        via_profile = quasi_energy_for_drive(q_quarter, resonant_drive, params)
-        assert via_profile == pytest.approx(
-            quasi_energy(q_quarter, phase_amplitude(resonant_drive), params),
-            rel=1e-10)
-        assert via_profile == pytest.approx(direct, rel=1e-4)
-
 
 class TestResonancePeriod:
     def test_three_quantum_value(self, params, q_quarter):
@@ -422,7 +412,7 @@ class TestZoneEdgeMap:
                                                                rel=1e-14)
 
     def test_round_trip(self, params):
-        from bentlattice.two_level import q_from_zone_edge_k
         for k in (-1.2, 0.0, 0.7):
-            q = q_from_zone_edge_k(k, params)
+            # the inverse of qa = pi/2 + k/2
+            q = (np.pi + k) / (2.0 * params.spacing_cm)
             assert zone_edge_k(q, params) == pytest.approx(k, abs=1e-14)
