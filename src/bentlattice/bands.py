@@ -102,8 +102,11 @@ def _potential_matrix(optics: OpticsParams, g_indices, n_cell: int = 8192):
     for center in (-a_um, 0.0, a_um, 2 * a_um):
         peak = optics.dn1 if (round(center / a_um) % 2 == 0) else optics.dn2
         dn += peak * sample_index_change(optics, x_um - center)
-    v_x = -2 * np.pi * dn / optics.wavelength_cm
-    v_g = np.fft.rfft(v_x).real / n_cell
+    # index changes near the float limit overflow here; plane_wave_bands
+    # reports the non-finite operator as a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_x = -2 * np.pi * dn / optics.wavelength_cm
+        v_g = np.fft.rfft(v_x).real / n_cell
     return v_g[np.abs(g_indices[:, None] - g_indices[None, :])]
 
 

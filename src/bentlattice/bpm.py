@@ -9,15 +9,24 @@ bending into a z-dependent momentum shift of the diffraction kernel; the
 two agree on band populations and the cross-check is one of the validation
 suites.
 
-The step loop costs little more than its FFT pair.  The static half-step
-phase exp(-i V h/2) is built once.  Where the drive changes, the linear
-factor of the step (exp(-i b x h/2) in the bent frame, the kernel's
+The step loop costs little more than its FFT pair: one x-space multiply
+per step.  Strang splitting lets the trailing half-step exp(-i V h/2) of one
+step and the leading half-step of the next combine into one exp(-i V h), so
+the leading half-step is applied once before the loop, and each step is the
+FFT pair with its kernel followed by one multiply with exp(-i V h) times the
+absorber mask times the drive's linear factors of both half-steps.  A
+snapshot reads the state through the trailing half-step and the mask alone
+and never writes back into the stepped field, so every state is the same
+bit for bit whatever the snapshot stride.  Where the drive changes, the
+linear factor (exp(-i b x h/2) in the bent frame, the kernel's
 exp(2i D k Int(Phi)/a) in the shifted gauge, with D the diffraction
 coefficient) is linear in the grid index on each half of the FFT ordering,
 so ``_linear_phase`` builds it as the outer product of two exp vectors of
-about sqrt(n) points.  Each absorber ramp costs one square and one dot on
-the float view of the field, and the intake ratio is taken only once the
-absorbed power nears a threshold.
+about sqrt(n) points; on straight stretches and in the shifted gauge the
+composite array is built once.  The phases have unit modulus, so each
+absorber ramp's intake is one square and one dot on the float view of the
+field as the FFT pair leaves it, and the intake ratio is taken only once
+the absorbed power nears a threshold.
 
 ``bpm_run`` imports ``scipy.fft`` when it is called (its 8192-point FFT is
 a little faster than numpy's), so the other tiers never load it.
@@ -206,9 +215,26 @@ def build_index_profile(optics: OpticsParams, n_guides: int, grid: TransverseGri
         raise GeometryError("channels overlap: width >= spacing")
     x = grid.x_um
     dn = np.zeros(grid.n)
-    for j in range(-n_guides // 2, n_guides // 2):
-        peak = optics.dn1 if j % 2 == 0 else optics.dn2
-        dn += peak * sample_index_change(optics, x - j * optics.spacing_um)
+    # a channel is exactly 0.0 beyond its reach (exp(-t) underflows for
+    # t > 745.2), so each guide adds its shape over its own window only;
+    # the points it skips would gain +0.0, so the sum is the dense one
+    w = optics.channel_width_um
+    if optics.channel_shape is ChannelShape.SUPER_GAUSSIAN:
+        reach = w * 750.0 ** (1.0 / optics.sg_order)
+    else:
+        reach = w
+    a, x0, dx = optics.spacing_um, grid.x_min_um, grid.dx_um
+    # only the guides whose window meets the grid, in their order
+    first = max(-n_guides // 2, math.floor((x[0] - reach) / a) - 1)
+    stop = min(n_guides // 2, math.ceil((x[-1] + reach) / a) + 2)
+    for j in range(first, stop):
+        center = j * a
+        # one point of slack on each side covers the rounding of x
+        lo = max(math.floor((center - reach - x0) / dx) - 1, 0)
+        hi = min(math.ceil((center + reach - x0) / dx) + 2, grid.n)
+        if lo < hi:
+            peak = optics.dn1 if j % 2 == 0 else optics.dn2
+            dn[lo:hi] += peak * sample_index_change(optics, x[lo:hi] - center)
     return optics.n_s + dn
 
 
@@ -308,25 +334,15 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     n = grid.n
     x0_cm, dx_cm = grid.x_min_um * CM_PER_UM, grid.dx_um * CM_PER_UM
     diffraction = optics.diffraction_cm
-    v_static = 2 * np.pi * (optics.n_s - index_profile) / optics.wavelength_cm
-    static_half = np.exp(-1j * v_static * (h / 2))
     kinetic = np.exp(-1j * diffraction * grid.k_cm**2 * h)
-    mask = np.exp(-absorber.damping(n) * h)
-    # power removed per step is dx sum |env|^2 (1 - mask^2) over the ramps;
-    # on the float view of a ramp each weight serves a (re, im) pair
-    edges = [(s, np.repeat(mask[s], 2),
-              np.repeat((1.0 - mask[s] ** 2) * grid.dx_um, 2))
-             for s in absorber.ramps(n)]
-    # below this absorbed power neither intake threshold can be passed:
-    # rounding is monotone, so absorbed / p_launch > t needs
-    # absorbed >= t * p_launch as rounded
-    intake_gate = min(intake_warn, intake_error) * p_launch
     a_cm = optics.spacing_cm
     z_start = field.z + np.arange(n_steps) * h
     if gauge is BpmGauge.BENT_FRAME:
-        # slope b of the bend's linear potential b x at each step midpoint
-        bends = drv.force(profile, z_start + h / 2) / a_cm
+        # coefficient c = b h/2 of each half-step's factor exp(-i c x), with
+        # b the slope of the bend's linear potential b x at the step midpoint
+        coefs = drv.force(profile, z_start + h / 2) / a_cm * (h / 2)
     else:
+        coefs = np.zeros(n_steps)
         # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over each step;
         # k is linear in the fft index on each half of the fft ordering
         phi_ints = drv.phase_integral(profile, z_start, z_start + h)
@@ -334,24 +350,42 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
         dk = 2 * np.pi / (n * dx_cm)
         n_pos = (n + 1) // 2
 
+    def bent(base, c):
+        """base * exp(-i c x), or base itself on a straight axis."""
+        return base * _linear_phase(n, c * x0_cm, c * dx_cm) if c else base
+
+    # the trailing half-step of one step, the absorber mask and the leading
+    # half-step of the next are one multiply; a snapshot reads the state
+    # through the trailing half-step and the mask alone
+    v_static = 2 * np.pi * (optics.n_s - index_profile) / optics.wavelength_cm
+    static_half = np.exp(-1j * v_static * (h / 2))
+    mask = np.exp(-absorber.damping(n) * h)
+    trail_static = static_half * mask
+    fused_static = np.exp(-1j * v_static * h) * mask
+    # power removed per step is dx sum |env|^2 (1 - mask^2) over the ramps;
+    # the phases have unit modulus, so |env|^2 is read before they apply.
+    # On the float view of a ramp each weight serves a (re, im) pair
+    edges = [(s, np.repeat((1.0 - mask[s] ** 2) * grid.dx_um, 2))
+             for s in absorber.ramps(n)]
+    # below this absorbed power neither intake threshold can be passed:
+    # rounding is monotone, so absorbed / p_launch > t needs
+    # absorbed >= t * p_launch as rounded
+    intake_gate = min(intake_warn, intake_error) * p_launch
+
     absorbed_total = 0.0
     warned = False
     fields = np.empty((len(steps), n), dtype=complex)
     fields[0] = env
+    env *= bent(static_half, coefs[0])
+    del v_static, static_half, mask
     absorbed = np.zeros(len(steps))
     k = 1
-    phase_half, kernel = static_half, kinetic
-    step_drive = None  # drive value of the current phases
+    kernel, fused = kinetic, fused_static
+    step_drive = fused_drive = None  # drive values of the current arrays
     for i in range(n_steps):
-        # the drive's phase factor is rebuilt only when the drive changes,
-        # so straight stretches of the axis reuse the previous step's array
-        if gauge is BpmGauge.BENT_FRAME:
-            if bends[i] != step_drive:
-                step_drive = bends[i]
-                c = step_drive * (h / 2)
-                phase_half = static_half * _linear_phase(n, c * x0_cm,
-                                                         c * dx_cm)
-        else:
+        # the drive's arrays are rebuilt only when the drive changes, so
+        # straight stretches of the axis reuse the previous step's array
+        if gauge is BpmGauge.SHIFTED_K:
             ints = (phi_ints[i], phi_sq_ints[i])
             if ints != step_drive:
                 step_drive = ints
@@ -362,15 +396,12 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
                     _linear_phase(n_pos, offset, slope),
                     _linear_phase(n // 2, offset - slope * (n // 2), slope)))
                 kernel *= kinetic
-        env *= phase_half
         spectrum = sfft.fft(env, overwrite_x=True)
         spectrum *= kernel
         env = sfft.ifft(spectrum, overwrite_x=True)
-        env *= phase_half
-        for edge, edge_mask, edge_loss in edges:
-            part = env[edge].view(float)
-            absorbed_total += np.dot(np.square(part), edge_loss)
-            part *= edge_mask
+        for edge, edge_loss in edges:
+            absorbed_total += np.dot(np.square(env[edge].view(float)),
+                                     edge_loss)
         if absorbed_total >= intake_gate:
             intake = absorbed_total / p_launch
             if intake > intake_error:
@@ -383,9 +414,15 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
                     "power", stacklevel=2)
                 warned = True
         if i + 1 == steps[k]:
-            fields[k] = env
+            np.multiply(env, bent(trail_static, coefs[i]), out=fields[k])
             absorbed[k] = absorbed_total / p_launch
             k += 1
+        if i + 1 < n_steps:
+            drive_sum = coefs[i] + coefs[i + 1]
+            if drive_sum != fused_drive:
+                fused_drive = drive_sum
+                fused = bent(fused_static, drive_sum)
+            env *= fused
     return BpmTrajectory(field.z + steps * h, fields, grid, absorbed)
 
 

@@ -10,7 +10,8 @@ from bentlattice import drive as drv
 from bentlattice.bpm import (AbsorberSpec, BpmGauge, ChannelShape,
                              FieldGrid, TransverseGrid, _linear_phase,
                              bpm_run, bragg_angle, build_index_profile,
-                             gaussian_tilted_input, gaussian_width_after)
+                             gaussian_tilted_input, gaussian_width_after,
+                             sample_index_change)
 from bentlattice.diagnostics import (band_populations, bands_for_grid,
                                      project_onto_band, second_moment)
 
@@ -44,6 +45,37 @@ class TestIndexProfile:
         n_shift = build_index_profile(optics, 40, moved)
         inner = np.abs(grid.x_um) < 100.0
         assert np.max(np.abs(n_shift[inner] - n[inner])) < 1e-15
+
+    # 1021 is prime; the 41-cell window holds 82 guides, so 60 guides end
+    # inside it and 400 reach far past both edges
+    @pytest.mark.parametrize("n_points", [8192, 1024, 1021])
+    @pytest.mark.parametrize("n_guides", [60, 400])
+    @pytest.mark.parametrize(("shape", "sg_order"), [
+        (ChannelShape.SUPER_GAUSSIAN, 2), (ChannelShape.SUPER_GAUSSIAN, 4),
+        (ChannelShape.SUPER_GAUSSIAN, 8), (ChannelShape.RAISED_COSINE, 4)],
+        ids=["sg2", "sg4", "sg8", "raised_cosine"])
+    def test_equals_dense_sum(self, shape, sg_order, n_guides, n_points):
+        optics = OpticsParams(channel_shape=shape, sg_order=sg_order)
+        grid = TransverseGrid.for_cells(optics, n_cells=41,
+                                        n_points=n_points)
+        x = grid.x_um
+        dn = np.zeros(grid.n)
+        for j in range(-n_guides // 2, n_guides // 2):
+            peak = optics.dn1 if j % 2 == 0 else optics.dn2
+            dn += peak * sample_index_change(optics, x - j * optics.spacing_um)
+        assert np.array_equal(build_index_profile(optics, n_guides, grid),
+                              optics.n_s + dn)
+
+    def test_guides_beyond_the_grid_add_nothing(self, optics):
+        # on this 80 um window the 10 guides -5 .. 4 already give every bit
+        # of the profile and 8 do not; a billion guides must give the same
+        # bits, at the cost of the few that reach the grid
+        small = TransverseGrid.for_cells(optics, n_cells=4, n_points=256)
+        covered = build_index_profile(optics, 10, small)
+        assert not np.array_equal(build_index_profile(optics, 8, small),
+                                  covered)
+        assert np.array_equal(build_index_profile(optics, 10**9, small),
+                              covered)
 
     def test_overlapping_channels_rejected(self, grid):
         fat = OpticsParams(channel_width_um=10.0)
@@ -217,6 +249,12 @@ class TestStrangStep:
                                absorber)
         assert len(traj.z) == 7 and traj.absorbed[-1] > 0
         assert np.max(np.abs(traj.final.envelope - ref)) < 1e-12
+        # snapshots inside the bend read the state through its linear phase
+        index_profile = build_index_profile(optics, 80, grid)
+        inner = [env for step, (_, env, _) in enumerate(strang_steps(
+            field, optics, drive, 0.3, 1e-3, gauge, index_profile, absorber),
+            start=1) if step % 50 == 0]
+        assert np.max(np.abs(traj.fields[1:] - inner)) < 1e-12
 
     def test_absorbed_equals_power_lost(self, optics):
         grid = TransverseGrid.for_cells(optics, n_cells=20, n_points=1024)

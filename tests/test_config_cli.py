@@ -550,6 +550,19 @@ class TestCli:
         assert "power drifted by nan" in err and "retry with dz" in err
         assert "Warning" not in err
 
+    def test_overflowing_index_change_raises_no_numpy_warnings(self, tmp_path,
+                                                              capsys):
+        # no blanket errstate here: a numpy RuntimeWarning is an error in
+        # this suite, so the cell operator must overflow quietly and be
+        # reported by the typed check
+        argv = ["run", "--preset", "fig5b", "--set", "optics.dn1=1e300",
+                "--set", "optics.dn2=1e300", "--set", "numerics.z_end_cm=0.01",
+                "--out", str(tmp_path)]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert "cell operator is not finite" in err
+        assert "Warning" not in err
+
     def test_spot_below_grid_spacing_exit_code(self, tmp_path, capsys):
         argv = ["run", "--preset", "fig5b", "--set", "input.w0_um=1e-300",
                 "--set", "numerics.z_end_cm=0.01", "--out", str(tmp_path)]

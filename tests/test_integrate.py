@@ -9,8 +9,8 @@ import pytest
 
 import bentlattice
 from bentlattice import DriveProfile, ParameterError
-from bentlattice.bpm import (OpticsParams, TransverseGrid, bpm_run,
-                             gaussian_tilted_input)
+from bentlattice.bpm import (BpmGauge, OpticsParams, TransverseGrid,
+                             bpm_run, gaussian_tilted_input)
 from bentlattice.dirac import XiGrid, dirac_evolve, gaussian_spinor_packet
 from bentlattice.integrate import (BLOCK_STEPS, default_dz, rk4_evolve,
                                    snapshot_steps, step_grid)
@@ -144,12 +144,16 @@ class TestStrangSnapshots:
             np.testing.assert_array_equal(traj.psi1, every.psi1[steps])
             np.testing.assert_array_equal(traj.psi2, every.psi2[steps])
 
-    @pytest.mark.parametrize("n", [1, 7, 50])
-    def test_bpm_states_do_not_depend_on_the_stride(self, n):
+    @pytest.mark.parametrize(("gauge", "n"), [
+        pytest.param(gauge, n, id=f"{n}{suffix}")
+        for gauge, suffix in ((BpmGauge.BENT_FRAME, ""),
+                              (BpmGauge.SHIFTED_K, "-shifted_k"))
+        for n in (1, 7, 50)])
+    def test_bpm_states_do_not_depend_on_the_stride(self, gauge, n):
         drive = DriveProfile.from_phase_amplitude("single_cycle", 1.0, 0.1)
         # coarse steps take up to a quarter of the power into the absorber
         runs = {stride: _bpm(drive, dz=0.1 / n, snapshot_every=stride,
-                             intake_warn=1.0, intake_error=1.0)
+                             gauge=gauge, intake_warn=1.0, intake_error=1.0)
                 for stride in (1, 7, None)}
         every = runs[1]
         assert len(every.z) == n + 1 and every.absorbed[-1] > 0
@@ -214,6 +218,23 @@ def test_source_holds_one_snapshot_schedule_and_one_block_loop():
     for module in ("two_level.py", "tight_binding.py", "dirac.py", "bpm.py"):
         text = (SRC / module).read_text(encoding="utf-8")
         assert "snapshot_steps(" in text, module
+
+
+def test_source_holds_one_x_space_multiply_per_bpm_step():
+    # adjacent Strang half-steps and the absorber mask are one composite
+    # array; a snapshot reads through the trailing half-step and never
+    # writes back into the stepped field
+    tree = ast.parse((SRC / "bpm.py").read_text(encoding="utf-8"))
+    run, = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "bpm_run"]
+    loop, = [node for node in ast.walk(run) if isinstance(node, ast.For)
+             and ast.unparse(node.iter) == "range(n_steps)"]
+    multiplies = [node for node in ast.walk(loop)
+                  if isinstance(node, ast.AugAssign)
+                  and isinstance(node.op, ast.Mult)
+                  and ast.unparse(node.target) == "env"]
+    assert len(multiplies) == 1
+    assert "static_half" not in ast.unparse(loop)
 
 
 def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
