@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration/schema error (message carries the
 dotted field path), 3 numeric or domain failure (including sweeps with
-flagged rows).
+flagged rows and a run too large for memory).
 """
 
 from __future__ import annotations
@@ -103,6 +103,9 @@ def main(argv=None) -> int:
         return 2
     except BentLatticeError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric error: out of memory ({exc})", file=sys.stderr)
         return 3
 
 

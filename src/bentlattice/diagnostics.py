@@ -25,7 +25,7 @@ from .drive import CM_PER_UM
 from .errors import ParameterError, ShapeError
 from .tight_binding import (Branch, Gauge, LatticeTrajectory,
                             SuperlatticeParams, _branch_vector,
-                            sublattice_transform, to_sublattice_pairs)
+                            sublattice_momenta, to_sublattice_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def lattice_band_amplitudes(source, params: SuperlatticeParams,
 
     Bare-gauge input is gauge-transformed first, which needs the drive.  A
     state gives amplitudes shaped (n/2,); a trajectory gives them shaped
-    (n_snapshots, n/2), all snapshots projected in one product.
+    (n_snapshots, n/2), all snapshots projected in one FFT.
     """
     if source.gauge is Gauge.BARE and profile is None:
         raise ParameterError("bare-gauge input needs the drive profile")
@@ -141,8 +141,8 @@ def lattice_band_amplitudes(source, params: SuperlatticeParams,
         phi = drv.phase(profile, source.z)
         amplitudes = amplitudes * np.exp(1j * np.multiply.outer(phi,
                                                                 params.sites))
-    qa_values, transform = sublattice_transform(params)
-    s1, s2 = np.moveaxis(to_sublattice_pairs(amplitudes, transform), -1, 0)
+    qa_values = sublattice_momenta(params)
+    s1, s2 = np.moveaxis(to_sublattice_pairs(amplitudes, params), -1, 0)
     vm = _branch_vector(qa_values, Branch.MINUS, params)
     vp = _branch_vector(qa_values, Branch.PLUS, params)
     return qa_values, vm[0] * s1 + vm[1] * s2, vp[0] * s1 + vp[1] * s2

@@ -9,15 +9,15 @@ drives and admits periodic boundaries.
 
 The gauged equations are invariant under two-site translation, so on a
 periodic chain each Bloch momentum q evolves as its own sublattice pair
-(s1, s2), the two-level reduction, exact per q.  Periodic runs (gauged
-under any drive, bare on a straight axis, where Phi = 0) therefore step
-the n/2 momenta as one batch on the composed fourth-order Magnus step
-maps of ``integrate._advance``, unitary per step; a step too coarse for
-the generator fails the power check as NaN.  Hard-wall runs break the
-translation symmetry and step the site amplitudes with RK4,
-``integrate.rk4_evolve``.  Both boundaries run through one ``_evolve``:
-one step grid, one power monitor at the stepper's block ends, one final
-check over every snapshot.
+(s1, s2), the two-level reduction, exact per q; one FFT over the cells
+maps the sites to these pairs.  Periodic runs (gauged under any drive,
+bare on a straight axis, where Phi = 0) step the n/2 momenta as one batch
+on the composed fourth-order Magnus step maps of ``integrate._advance``,
+unitary per step; a step too coarse for the generator fails the power
+check as NaN.  Hard-wall runs break the translation symmetry and step the
+site amplitudes with RK4, ``integrate.rk4_evolve``.  Both boundaries run
+through one ``_evolve``: one step grid, one power monitor at the stepper's
+block ends, one final check over every snapshot.
 """
 
 from __future__ import annotations
@@ -210,28 +210,29 @@ def gaussian_packet_state(q0, width_sites, params: SuperlatticeParams,
                           gauge: Gauge = Gauge.GAUGED) -> ModeVector:
     """Gaussian superposition of single-branch Bloch modes.
 
-    Built mode by mode in q space on the periodic chain, so the state is an
-    exact single-band packet (each q component is the branch eigenvector at
-    that q), not an envelope approximation.
+    Built in q space on the periodic chain, so the state is an exact
+    single-band packet (each q component is the branch eigenvector at that
+    q), not an envelope approximation.
     """
     require_positive(width_sites=width_sites)
     n = params.n_sites
-    l = params.sites
     qa0 = float(q0) * params.spacing_cm
-    sig_qa = 2.0 / width_sites  # Fourier width of exp(-(l/width)^2)
-    # weights stay scalar: numpy squares a scalar with pow, an array as x * x
-    modes = []
-    for j in range(-n // 2, n // 2):
-        qa = qa0 + 2 * np.pi * j / n
-        weight = np.exp(-((qa - qa0) / sig_qa) ** 2)
-        if not weight < 1e-16:
-            modes.append((qa, weight))
-    vs = bloch_eigenvector(np.array([qa for qa, _ in modes]) / params.spacing_cm,
-                           branch, params)
-    amps = np.zeros(n, dtype=complex)
-    for (qa, weight), v in zip(modes, vs.T):
-        amps += (weight * np.exp(-1j * qa * center_site)
-                 * _on_sublattices(v, params) * np.exp(1j * qa * l))
+    kappa = 2 * np.pi * np.arange(-n // 2, n // 2) / n
+    # spectrum of exp(-(l/width)^2), of Fourier width 2 / width; a width
+    # that overflows the square keeps only kappa = 0, as exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        weight = np.exp(-(kappa * width_sites / 2) ** 2)
+    kept = ~(weight < 1e-16)
+    qa = qa0 + kappa[kept]
+    u = np.zeros((n, 2), dtype=complex)
+    u[kept] = (bloch_eigenvector(qa / params.spacing_cm, branch, params)
+               * (weight[kept] * np.exp(-1j * qa * center_site))).T
+    # mode j - n/2 is mode j times (-1)^l, a sign on B, and so is a pair
+    # momentum folded by -pi; exp(i qa0 l) restores the offset qa0
+    pairs = u[n // 2:] + u[:n // 2] * [1, -1]
+    pairs[sublattice_momenta(params) < 0, 1] *= -1
+    amps = from_sublattice_pairs(pairs, params)
+    amps *= np.exp(1j * qa0 * params.sites)
     amps /= np.linalg.norm(amps)
     return ModeVector(amps, gauge, 0.0)
 
@@ -250,33 +251,34 @@ def gauge_transform(state: ModeVector, profile: drv.DriveProfile,
     return ModeVector(state.amplitudes * factor, to_gauge, state.z)
 
 
-def sublattice_transform(params: SuperlatticeParams):
-    """Bloch momenta ``qa`` (n/2,) of the periodic chain and the unitary
-    (n, n) matrix taking site amplitudes to sublattice amplitudes: rows
-    0..n/2-1 give s1(qa) from the A sites (even l), rows n/2.. give s2(qa)
-    from the B sites (odd l).  Momenta above pi/2 are folded by -pi."""
-    n = params.n_sites
-    l = params.sites
-    qa = 2 * np.pi * np.arange(n // 2) / n
-    qa = np.where(qa > np.pi / 2, qa - np.pi, qa)
-    on_a, on_b = l % 2 == 0, l % 2 != 0
-    scale = 1.0 / np.sqrt(n // 2)
-    transform = np.zeros((n, n), dtype=complex)
-    transform[:n // 2, on_a] = scale * np.exp(-1j * np.outer(qa, l[on_a]))
-    transform[n // 2:, on_b] = scale * np.exp(-1j * np.outer(qa, l[on_b]))
-    return qa, transform
+def sublattice_momenta(params: SuperlatticeParams):
+    """Pair momenta qa = 2 pi j / n, j < n/2, folded by -pi above pi/2 (the
+    fold leaves the FFT over the cells, exp(-i qa 2c), as it is)."""
+    qa = 2 * np.pi * np.arange(params.n_sites // 2) / params.n_sites
+    return np.where(qa > np.pi / 2, qa - np.pi, qa)
 
 
-def to_sublattice_pairs(amplitudes, transform):
-    """Site amplitudes (..., n) -> (s1, s2) per momentum, (..., n/2, 2)."""
-    s = amplitudes @ transform.T
-    return np.swapaxes(s.reshape(s.shape[:-1] + (2, -1)), -1, -2)
+def _cell_layout(params: SuperlatticeParams):
+    """Column order that puts A (even l) first in each cell of ``sites``, from
+    -n/2, and the phase exp(-i qa l0) at each ordered column's first site."""
+    order = slice(None, None, -1 if params.n_sites % 4 else 1)
+    l0 = params.sites[:2][order]
+    return order, np.exp(-1j * np.outer(sublattice_momenta(params), l0))
 
 
-def from_sublattice_pairs(pairs, transform):
+def to_sublattice_pairs(amplitudes, params: SuperlatticeParams):
+    """Site amplitudes (..., n) -> (s1, s2) per momentum, (..., n/2, 2): the
+    A and B sums of a_l exp(-i qa l) / sqrt(n/2), one FFT over the cells."""
+    order, phase = _cell_layout(params)
+    cells = np.reshape(amplitudes, np.shape(amplitudes)[:-1] + (-1, 2))
+    return np.fft.fft(cells[..., order], axis=-2, norm="ortho") * phase
+
+
+def from_sublattice_pairs(pairs, params: SuperlatticeParams):
     """Inverse of ``to_sublattice_pairs``: pairs (..., n/2, 2) -> sites."""
-    rows = np.swapaxes(pairs, -1, -2)
-    return rows.reshape(rows.shape[:-2] + (-1,)) @ transform.conj()
+    order, phase = _cell_layout(params)
+    cells = np.fft.ifft(pairs * phase.conj(), axis=-2, norm="ortho")
+    return cells[..., order].reshape(cells.shape[:-2] + (-1,))
 
 
 def _check_drift(power, z, p0, tol, dz):
@@ -314,7 +316,7 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
 
     periodic = Boundary(boundary) is Boundary.PERIODIC
     if periodic:
-        qa, transform = sublattice_transform(params)
+        qa = sublattice_momenta(params)
 
         def coefficients(zs):
             b = np.subtract(qa, drv.phase(profile, zs)[:, None])
@@ -323,7 +325,7 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
             # a = -delta is the same at every sample and momentum
             return np.broadcast_to(-params.delta_cm, b.shape), b
 
-        ys = _advance(to_sublattice_pairs(y0, transform), coefficients,
+        ys = _advance(to_sublattice_pairs(y0, params), coefficients,
                       state.z, n, h, steps, monitor)
     else:
         samples, rhs = (_bare_rhs if state.gauge is Gauge.BARE
@@ -333,7 +335,7 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
     _check_drift(np.sum(np.abs(ys.reshape(len(steps), -1)) ** 2, axis=1), zs,
                  p0, 1e-6, dz)
     if periodic:
-        ys = from_sublattice_pairs(ys, transform)
+        ys = from_sublattice_pairs(ys, params)
         # the first snapshot is the input itself, not its round trip
         ys[0] = state.amplitudes
     return LatticeTrajectory(zs, ys, state.gauge, params)

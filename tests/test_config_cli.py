@@ -460,6 +460,9 @@ class TestCli:
         (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
           "--set", "input.width_xi=1e6", "--set", "input.qa_over_pi=0.2501"],
          3, "width_xi = 1000000.0 leaves the packet no weight"),
+        (["run", "--preset", "fig2a", "--set", "scenario.tier=tight_binding",
+          "--set", "lattice.n_sites=1099511627776", "--set",
+          "numerics.z_end_cm=0.05"], 3, "numeric error: out of memory"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
@@ -473,7 +476,8 @@ class TestCli:
             "lattice_spacing_removed", "lattice_spacing_axis",
             "bpm_negative_absorber", "unread_grid_axis",
             "unread_optics_axis", "two_level_unread_n_sites_axis",
-            "dirac_negative_width", "dirac_underflowing_width"])
+            "dirac_negative_width", "dirac_underflowing_width",
+            "lattice_out_of_memory"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):

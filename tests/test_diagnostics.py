@@ -123,8 +123,7 @@ class TestLatticeProjection:
         assert recovered == pytest.approx(state.power, rel=1e-12)
 
     def test_band_amplitudes_match_per_q_loop(self, params):
-        from bentlattice.tight_binding import (sublattice_transform,
-                                               to_sublattice_pairs)
+        from bentlattice.tight_binding import to_sublattice_pairs
         rng = np.random.default_rng(3)
         amps = (rng.standard_normal(params.n_sites)
                 + 1j * rng.standard_normal(params.n_sites))
@@ -133,7 +132,7 @@ class TestLatticeProjection:
         # the zone edge is on the momentum grid, where the fixed
         # eigenvector convention applies
         assert np.pi / 2 in qa
-        pairs = to_sublattice_pairs(amps, sublattice_transform(params)[1])
+        pairs = to_sublattice_pairs(amps, params)
         for i, qa_i in enumerate(qa):
             s1, s2 = pairs[i]
             vm = bloch_eigenvector(qa_i / params.spacing_cm, Branch.MINUS,

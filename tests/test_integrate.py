@@ -16,7 +16,8 @@ from bentlattice.integrate import (BLOCK_STEPS, default_dz, rk4_evolve,
                                    snapshot_steps, step_grid)
 from bentlattice.tight_binding import (Boundary, Branch, Gauge, ModeVector,
                                        SuperlatticeParams, bloch_mode_state,
-                                       evolve_bare, evolve_gauged)
+                                       evolve_bare, evolve_gauged,
+                                       gaussian_packet_state)
 from bentlattice.two_level import evolve, ground_state
 
 SRC = Path(bentlattice.__file__).parent
@@ -205,6 +206,12 @@ def test_source_holds_one_lattice_bloch_basis():
     for module in ("tight_binding.py", "diagnostics.py"):
         text = (SRC / module).read_text(encoding="utf-8")
         assert "to_sublattice_pairs(" in text
+    # the pair layout is one FFT pair, with no dense (n, n) matrix beside
+    # it, and the packet builder sums its modes through the same layout
+    assert "sublattice_transform" not in _source_text()
+    builder = inspect.getsource(gaussian_packet_state)
+    assert "from_sublattice_pairs(" in builder
+    assert not re.search(r"^\s*for\b", builder, re.M)
 
 
 def test_source_holds_one_snapshot_schedule_and_one_block_loop():

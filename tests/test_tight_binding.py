@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from bentlattice.tight_binding import (Boundary, ModeVector,
                                        dispersion, evolve_bare, evolve_gauged,
                                        from_sublattice_pairs, gauge_transform,
                                        gaussian_packet_state, group_velocity,
-                                       sublattice_transform,
+                                       sublattice_momenta,
                                        to_sublattice_pairs)
 from bentlattice.two_level import evolve as tl_evolve
 from bentlattice.two_level import ground_state
@@ -122,25 +124,122 @@ class TestBlochEigenvector:
         assert vectors.tobytes() == np.stack(columns, axis=1).tobytes()
 
 
+def dense_pair_transform(params):
+    """Momenta and the (n, n) unitary of the pair layout, written out site
+    by site: row k gives s1(qa_k) from the A sites (even l), row n/2 + k
+    gives s2(qa_k) from the B sites."""
+    n, l = params.n_sites, params.sites
+    qa = 2 * np.pi * np.arange(n // 2) / n
+    qa = np.where(qa > np.pi / 2, qa - np.pi, qa)
+    wave = np.exp(-1j * np.outer(qa, l)) / np.sqrt(n // 2)
+    return qa, np.concatenate([wave * (l % 2 == 0), wave * (l % 2 != 0)])
+
+
+def packet_reference(q0, width_sites, params, branch, center_site):
+    """Gaussian packet summed mode by mode over the sites."""
+    n, l = params.n_sites, params.sites
+    qa0 = q0 * params.spacing_cm
+    sig_qa = 2.0 / width_sites
+    amps = np.zeros(n, dtype=complex)
+    for j in range(-n // 2, n // 2):
+        qa = qa0 + 2 * np.pi * j / n
+        weight = np.exp(-((qa - qa0) / sig_qa) ** 2)
+        if not weight < 1e-16:
+            v = bloch_eigenvector(qa / params.spacing_cm, branch, params)
+            amps += (weight * np.exp(-1j * qa * center_site)
+                     * np.where(l % 2 == 0, v[0], v[1]) * np.exp(1j * qa * l))
+    return amps / np.linalg.norm(amps)
+
+
 class TestSublatticePairs:
-    @pytest.mark.parametrize("n_sites", [6, 8])
+    # n/2 odd puts a B site first; 10, 12 and 1000 are no powers of 2
+    @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 128, 1000])
     def test_pairs_hold_s1_and_s2_per_momentum(self, n_sites):
         # (s1, s2) of momentum qa: the A and B sites' Fourier sums
         lattice = SuperlatticeParams(2.0, 1.817, n_sites=n_sites)
-        qa, transform = sublattice_transform(lattice)
+        qa, dense = dense_pair_transform(lattice)
+        assert sublattice_momenta(lattice).tobytes() == qa.tobytes()
         rng = np.random.default_rng(5)
-        amps = rng.standard_normal((3, n_sites)) + 1j * rng.standard_normal(
-            (3, n_sites))
-        pairs = to_sublattice_pairs(amps, transform)
-        assert pairs.shape == (3, n_sites // 2, 2)
-        l = lattice.sites
-        for k, qa_k in enumerate(qa):
-            wave = np.exp(-1j * qa_k * l) / np.sqrt(n_sites // 2)
-            s1 = amps[:, l % 2 == 0] @ wave[l % 2 == 0]
-            s2 = amps[:, l % 2 != 0] @ wave[l % 2 != 0]
-            assert np.max(np.abs(pairs[:, k] - np.stack([s1, s2], -1))) < 1e-13
-        back = from_sublattice_pairs(pairs, transform)
-        assert np.max(np.abs(back - amps)) < 1e-13
+        shape = (2, 3, n_sites)
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pairs = to_sublattice_pairs(amps, lattice)
+        assert pairs.shape == (2, 3, n_sites // 2, 2)
+        ref = amps @ dense.T
+        ref = np.stack([ref[..., :n_sites // 2], ref[..., n_sites // 2:]], -1)
+        # the dense phases exp(-i qa l) round by eps |qa l| <= eps pi n / 4
+        # per term, over n/2 terms of size max|a| / sqrt(n/2)
+        eps, top = np.finfo(float).eps, np.max(np.abs(amps))
+        assert np.max(np.abs(pairs - ref)) < eps * n_sites**1.5 * top
+        assert np.sum(np.abs(pairs) ** 2, axis=(-2, -1)) == pytest.approx(
+            np.sum(np.abs(amps) ** 2, axis=-1), rel=1e-13)
+        back = from_sublattice_pairs(pairs, lattice)
+        assert back.shape == amps.shape
+        assert np.max(np.abs(back - amps)) < 64 * eps * top
+
+    def test_large_chain_needs_no_dense_matrix(self):
+        # a dense (n, n) pair transform would take n^2 16 B = 1 GiB here;
+        # the run holds a few arrays of its snapshots (the stepped pairs,
+        # their inverse FFT and the trajectory) and block arrays of fixed
+        # size, so its peak stays within a small multiple of them
+        big = SuperlatticeParams(2.0, 1.817, n_sites=8192)
+        drive = DriveProfile.from_phase_amplitude("sinusoidal", 0.4, 2.8556)
+        state = gaussian_packet_state(big.q_from_qa(np.pi / 4), 64.0, big)
+        dz = drive.period_cm / 2000
+        tracemalloc.start()
+        try:
+            traj = evolve_gauged(state, big, drive, 32 * dz, dz=dz,
+                                 snapshot_every=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (9, 8192)
+        assert peak < 8 * traj.states.nbytes < big.n_sites**2 * 16 / 100
+
+
+class TestGaussianPacket:
+    @pytest.mark.parametrize("branch", [Branch.MINUS, Branch.PLUS])
+    @pytest.mark.parametrize("n_sites", [6, 10, 44, 52, 64, 1000])
+    def test_matches_per_mode_sum(self, n_sites, branch):
+        # at 44 and 52 sites 2 pi (n/4) / n rounds below and above pi/2, so
+        # the zone-edge pair sits on either side of the fold
+        lattice = SuperlatticeParams(2.0, 1.817, n_sites=n_sites)
+        tol = 8 * np.finfo(float).eps * n_sites  # rounding of exp(i qa l)
+        for qa0 in (0.3, np.pi / 4, -2.9):
+            for width in (1.0, 6.0):
+                for center in (0.0, -40.0, 3.5):
+                    q0 = lattice.q_from_qa(qa0)
+                    packet = gaussian_packet_state(q0, width, lattice, branch,
+                                                   center)
+                    ref = packet_reference(q0, width, lattice, branch, center)
+                    assert np.max(np.abs(packet.amplitudes - ref)) < tol
+
+    @pytest.mark.parametrize("width", [1e200, 1e308])
+    def test_overflowing_width_is_the_bloch_mode(self, params, width):
+        # the plane-wave limit, with no numpy overflow warning
+        q0 = params.q_from_qa(0.3)
+        packet = gaussian_packet_state(q0, width, params)
+        mode = bloch_mode_state(q0, Branch.MINUS, params)
+        assert np.max(np.abs(packet.amplitudes - mode.amplitudes)) < 1e-15
+
+    @pytest.mark.parametrize("qa0, width, on_edge", [
+        (np.pi / 4, 2.0, True), (-np.pi / 4, 2.0, True),
+        (np.pi / 4, 40.0, False), (0.3, 2.0, False)])
+    def test_gapless_packet_fails_only_on_a_kept_edge_mode(self, qa0, width,
+                                                           on_edge):
+        # qa0 + 2 pi j / n hits the zone edge at j = +-8; a wide packet
+        # gives that mode a weight below the cut, so it is never evaluated
+        gapless = SuperlatticeParams(2.0, 0.0, n_sites=64)
+        q0 = gapless.q_from_qa(qa0)
+        kappa = 2 * np.pi * np.arange(-32, 32) / 64
+        kept = ~(np.exp(-(kappa * width / 2) ** 2) < 1e-16)
+        assert np.any(np.abs(np.cos(qa0 + kappa[kept])) < 1e-14) == on_edge
+        if on_edge:
+            with pytest.raises(DegenerateGapError):
+                gaussian_packet_state(q0, width, gapless)
+        else:
+            packet = gaussian_packet_state(q0, width, gapless)
+            ref = packet_reference(q0, width, gapless, Branch.MINUS, 0.0)
+            assert np.max(np.abs(packet.amplitudes - ref)) < 1e-13
 
 
 class TestStraightEvolution:
