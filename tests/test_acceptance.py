@@ -5,6 +5,7 @@ of every criterion.  Each criterion pins its tolerance here; nothing is
 deferred to later calibration.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from bentlattice import DriveProfile, OpticsParams, SuperlatticeParams
 from bentlattice.bands import fit_tight_binding, plane_wave_bands
 from bentlattice.bpm import bragg_angle
+from bentlattice.cli import main as cli_main
 from bentlattice.config import scenario_from_text
 from bentlattice.dirac import (XiGrid, band_weights, dirac_evolve,
                                gaussian_spinor_packet)
@@ -32,6 +34,9 @@ from bentlattice.two_level import (MatrixKind, coupling_matrix_full,
 PARAMS = SuperlatticeParams(2.0, 1.817, 10.0, 64)
 Q_QUARTER = PARAMS.q_from_qa(np.pi / 4)
 CYCLE_CM = 0.6676  # exact single-cycle period behind the rounded 0.67 quote
+# the step-halving self-check tolerances of runner's BPM and lattice runs
+BPM_SELF_CHECK_TOL = 1e-4
+LATTICE_SELF_CHECK_TOL = 1e-6
 
 
 def verdict(number, ok, detail):
@@ -319,3 +324,79 @@ def test_criterion_8_spinor_lattice_packet_populations():
         "reductions at the labelled drive points; "
         + "; ".join(notes)
         + ("" if ok else "; FAILING: " + " | ".join(failures))), failures
+
+
+def test_beam_grid_margin():
+    # fig5c, the preset that breaks up, on its own grid and on twice the
+    # points, to 0.7 cm (just past the drive cycle).  The grid must hold
+    # the band populations to 1% of the step-halving tolerance, so that the
+    # step, not the grid, sets the beam tier's accuracy.
+    summaries = {}
+    for extra in ([], ["numerics.grid_points=8192"]):
+        scn = scenario_from_text(preset_text("fig5c"),
+                                 ["numerics.z_end_cm=0.7", *extra])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            summaries[scn.section("numerics")["grid_points"]] = (
+                run_scenario(scn, None)["summary"])
+    assert set(summaries) == {4096, 8192}
+    bound = 0.01 * BPM_SELF_CHECK_TOL
+    moved = {key: abs(summaries[4096][key] - summaries[8192][key])
+             for key in ("band1_final", "band2_final", "miniband_transition")}
+    ok = max(moved.values()) <= bound
+    print("[beam grid] " + ("PASS" if ok else "FAIL") + ": fig5c at 0.7 cm, "
+          "4096 against 8192 points: "
+          + ", ".join(f"{key} moved {value:.1e}"
+                      for key, value in moved.items())
+          + f" (bound {bound:.0e}, 1% of the self-check tolerance)")
+    assert ok, moved
+
+
+def _cli_run(out_dir, preset, *settings):
+    argv = ["run", "--preset", preset, "--out", str(out_dir),
+            "--set", "numerics.z_end_cm=0.7", "--set", "numerics.self_check=1"]
+    for setting in settings:
+        argv += ["--set", setting]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli_main(argv) == 0
+    with open(out_dir / "manifest.json", encoding="utf-8") as fh:
+        return json.load(fh)["summary"]
+
+
+def test_beam_against_lattice_at_the_fig5_drive_points(tmp_path):
+    # fig5b's and fig5c's drive points to 0.7 cm, just past the drive
+    # cycle, on the beam tier and on the lattice tier with the same drive,
+    # lattice constants and launch momentum (qa = pi/4, the half-Bragg
+    # tilt) and a Gaussian packet as wide as the beam (w0 / a = 8 sites).
+    # The lattice tier is the two-band model; the beam's departure from it
+    # is the power outside the two lowest minibands, the run's `remainder`.
+    # So the tiers may differ by that remainder plus each tier's
+    # step-halving tolerance, which both runs are held to here.
+    failures = []
+    notes = []
+    for preset in ("fig5b", "fig5c"):
+        beam = _cli_run(tmp_path / preset, preset)
+        _, rows = read_csv(tmp_path / preset / f"{preset}_observables.csv")
+        remainder = rows[-1][3]
+        lattice = _cli_run(tmp_path / f"{preset}_lattice", preset,
+                           "scenario.tier=tight_binding",
+                           "lattice.sigma_cm=2.0", "lattice.delta_cm=1.817",
+                           "input.qa_over_pi=0.25", "input.packet=gaussian",
+                           "input.width_sites=8", "lattice.n_sites=256")
+        gap = beam["miniband_transition"] - lattice["P_final"]
+        bound = remainder + BPM_SELF_CHECK_TOL + LATTICE_SELF_CHECK_TOL
+        notes.append(f"{preset}: beam {beam['miniband_transition']:.5f} vs "
+                     f"lattice {lattice['P_final']:.5f} (gap {gap:+.4f}, "
+                     f"bound {bound:.4f} from remainder {remainder:.4f})")
+        if abs(gap) > bound:
+            failures.append(
+                f"{preset} beam-lattice gap {abs(gap):.4f} exceeds the "
+                f"beam's remainder {remainder:.4f} plus the self-check "
+                "tolerances, so the tiers differ by more than the beam's "
+                "power outside the two-band model explains")
+    ok = not failures
+    print("[beam vs lattice] " + ("PASS" if ok else "FAIL") + ": "
+          + "; ".join(notes)
+          + ("" if ok else "; FAILING: " + " | ".join(failures)))
+    assert ok, failures

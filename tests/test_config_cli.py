@@ -156,6 +156,20 @@ class TestPresets:
                       if not readers & set(SCHEMA[section][key][3])]
             assert unread == [], name
 
+    def test_fig5_presets_share_one_grid(self):
+        # criterion 7 compares the three beam presets' drifts and packets,
+        # so none may sit on a grid or step of its own; each writes the
+        # grid out, so the schema default cannot move it
+        numerics = {}
+        for name in ("fig5a", "fig5b", "fig5c"):
+            assert "grid_points" in parse_config_text(
+                preset_text(name))["numerics"], name
+            num = scenario_from_text(preset_text(name)).section("numerics")
+            numerics[name] = tuple(num[key] for key in (
+                "grid_points", "grid_cells", "dz_cm", "snapshot_every"))
+        assert len(set(numerics.values())) == 1, numerics
+        assert numerics["fig5b"][0] == 4096
+
     def test_unknown_preset_raises(self):
         with pytest.raises(ConfigError):
             preset_text("fig99")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,31 @@ class TestPacketCensus:
         with pytest.raises(ParameterError):
             packet_census(np.arange(4.0), np.ones(4), threshold=1.5)
 
+    def test_piecewise_linear_field_is_integrated_exactly(self):
+        # a field whose kinks sit on samples is its own piecewise-linear
+        # interpolant, so power and centroid are exact between its level
+        # crossings at -7.5 and 25.75, which fall between samples
+        def field(x):
+            return np.clip(np.minimum((x + 10) / 10, (31 - x) / 21), 0, 1)
+
+        (packet,) = packet_census(np.arange(-40.0, 41.0),
+                                  field(np.arange(-40.0, 41.0)),
+                                  threshold=0.25)
+        xf = np.linspace(-7.5, 25.75, 1_000_001)
+        power = np.trapezoid(field(xf), xf)
+        assert packet.power == pytest.approx(power, rel=1e-10)
+        assert packet.center == pytest.approx(
+            np.trapezoid(xf * field(xf), xf) / power, rel=1e-10)
+
+    def test_packet_at_the_grid_end_stops_there(self):
+        x = np.arange(10.0)
+        w = np.array([1.0, 1.0, 1.0, 0.0, 0, 0, 0, 0, 0, 0])
+        (packet,) = packet_census(x, w, threshold=0.5)
+        # the flat [0, 2] (power 2, first moment 2) plus the ramp from 1 at
+        # x = 2 down to the crossing at 2.5 (power 0.375, moment 5/6)
+        assert packet.power == pytest.approx(2.375)
+        assert packet.center == pytest.approx((2.0 + 5 / 6) / 2.375)
+
 
 class TestVelocityTracking:
     @pytest.fixture(scope="class")
@@ -293,6 +320,57 @@ class TestVelocityTracking:
         monkeypatch.setattr(diagnostics, "packet_census", counted)
         obs = observables_series(traj, bands, merge_radius=15.0)
         assert len(calls) == len(traj.z) == len(obs)
+
+
+class TestCensusSampling:
+    """The census of one beam envelope, exp(-2 u^2) with u = (x - x0) / W,
+    moving across fig5's window (82 cells) at strides 1 and 2 of its
+    8192-point sampling, against the envelope's exact centre."""
+
+    W_UM = 80.0  # the fig5 launch width w0
+    V_UM_PER_CM = 16.3
+    ZS = np.arange(11) * 0.6  # fig5's snapshots, every 1200 steps of 5e-4 cm
+
+    def centroid_bound(self, h, threshold=0.1):
+        """Worst census centroid error at sample spacing h, to order h^2.
+
+        The linear interpolant is within h^2/8 max|w''| = h^2 / (2 W^2) of
+        the envelope.  Inside the packet, |u| < u_c at the crossing, that
+        moves the first moment about the centre by at most that times r^2
+        (r = u_c W).  Each interpolated crossing moves by at most that error
+        over the slope |w'| = 4 u_c t / W there, carrying the level t at the
+        lever arm r: 2 t r W / (4 u_c t) = W^2 / 2 for both.  Dividing by
+        the packet power M0 gives the bound.
+        """
+        w = self.W_UM
+        u_c = math.sqrt(math.log(1 / threshold) / 2)
+        m0 = w * math.sqrt(math.pi / 2) * math.erf(math.sqrt(2) * u_c)
+        return h**2 / (2 * w**2) * ((u_c * w) ** 2 + w**2 / 2) / m0
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_centroids_and_velocity_within_the_sampling_bound(self, optics,
+                                                              stride):
+        fine = TransverseGrid.for_cells(optics, n_cells=82, n_points=8192)
+        grid = TransverseGrid.for_cells(optics, n_cells=82,
+                                        n_points=8192 // stride)
+        assert np.array_equal(grid.x_um, fine.x_um[::stride])
+        centres = -40.0 + self.V_UM_PER_CM * self.ZS  # off the sample lattice
+        frames = np.exp(-2 * ((grid.x_um - centres[:, None]) / self.W_UM)
+                        ** 2)
+        traj = BpmTrajectory(self.ZS, np.sqrt(frames).astype(complex), grid,
+                             np.zeros(len(self.ZS)))
+        obs = observables_series(traj, bands_for_grid(
+            optics, grid, n_plane_waves=41, n_bands=2))
+        eps = self.centroid_bound(grid.dx_um)
+        for row, centre in zip(obs, centres):
+            (packet,) = row.packets
+            assert abs(packet.center - centre) <= eps
+        # the velocity is the least-squares slope over the last n_fit = 5
+        # snapshots; centroid errors within eps move it by at most
+        # eps sum|z - zbar| / sum (z - zbar)^2
+        dz = self.ZS[-5:] - self.ZS[-5:].mean()
+        assert (abs(obs[-1].packets[0].velocity - self.V_UM_PER_CM)
+                <= eps * np.abs(dz).sum() / (dz**2).sum())
 
 
 class TestGroupVelocityOracle:
