@@ -192,9 +192,9 @@ def fit_tight_binding(bands: BandStructure) -> TightBindingFit:
 
     After removing the per-q midpoint, the band pair reduces to the
     half-splitting s(q), and s^2 = delta^2 + 4 sigma^2 cos^2(qa) is linear
-    in (delta^2, sigma^2); the fit is a direct normal-equations solve with
-    no iteration.  A residual above 10% of the splitting range signals that
-    the two-band tight-binding picture is breaking down.
+    in (delta^2, sigma^2): one least-squares solve, which needs two distinct
+    cos^2(qa) values (else ParameterError).  A residual above 10% of the
+    splitting range signals that the two-band picture is breaking down.
     """
     if bands.n_bands < 2:
         raise ParameterError("fit needs at least two bands")
@@ -202,7 +202,10 @@ def fit_tight_binding(bands: BandStructure) -> TightBindingFit:
     qa = bands.q_values * a_cm
     s = bands.half_splitting()
     design = np.stack([np.ones_like(qa), 4 * np.cos(qa) ** 2], axis=1)
-    coef, *_ = np.linalg.lstsq(design, s**2, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, s**2, rcond=None)
+    if rank < 2:
+        raise ParameterError("tight-binding fit needs q samples with two "
+                             "distinct cos^2(qa) values")
     delta_sq, sigma_sq = coef
     scale = float(np.max(s**2))
     if delta_sq < -1e-2 * scale or sigma_sq < -1e-2 * scale:

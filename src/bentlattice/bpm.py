@@ -4,10 +4,9 @@ The solver works in the waveguide reference frame where the array is
 straight and the axis bending appears as a z-dependent linear potential.
 Both split-step substeps are pure phase multiplications, so with the
 boundary absorber at zero strength the scheme is exactly unitary on the
-periodic grid.  An alternative gauge (``bpm_run(gauge=...)``) moves the
-bending into a z-dependent momentum shift of the diffraction kernel; the
-two agree on band populations and the cross-check is one of the validation
-suites.
+periodic grid.  An alternative gauge (``bpm_run(gauge=...)``), which the
+tests use as a cross-check on band populations, moves the bending into a
+z-dependent momentum shift of the diffraction kernel.
 
 The step loop costs little more than its FFT pair: one x-space multiply
 per step.  Strang splitting lets the trailing half-step exp(-i V h/2) of one
@@ -18,12 +17,10 @@ absorber mask times the drive's linear factors of both half-steps.  A
 snapshot reads the state through the trailing half-step and the mask alone
 and never writes back into the stepped field, so every state is the same
 bit for bit whatever the snapshot stride.  Where the drive changes, the
-linear factor (exp(-i b x h/2) in the bent frame, the kernel's
-exp(2i D k Int(Phi)/a) in the shifted gauge, with D the diffraction
-coefficient) is linear in the grid index on each half of the FFT ordering,
-so ``_linear_phase`` builds it as the outer product of two exp vectors of
-about sqrt(n) points; on straight stretches and in the shifted gauge the
-composite array is built once.  The phases have unit modulus, so each
+bent frame's linear factor exp(-i b x h/2) is linear in the grid index, so
+``_linear_phase`` builds it as the outer product of two exp vectors of
+about sqrt(n) points; on straight stretches the composite array is built
+once.  The phases have unit modulus, so each
 absorber ramp's intake is one square and one dot on the float view of the
 field as the FFT pair leaves it, and the intake ratio is taken only once
 the absorbed power nears a threshold.
@@ -251,16 +248,20 @@ def gaussian_tilted_input(w0_um: float, theta_rad: float, optics: OpticsParams,
 
     Normalised to unit power.  The grid should be at least ~6 w0 wide plus
     the absorber margin; narrower windows raise DomainError.  A spot below
-    the grid spacing would be a one-point spike, so it is rejected.
+    the grid spacing (a one-point spike) and a carrier at or past the
+    Nyquist wavenumber pi/dx (it would alias) are rejected.
     """
     require_positive(w0_um=w0_um)
     if w0_um < grid.dx_um:
         raise ParameterError(f"spot size w0_um = {w0_um!r} is below the grid "
                              f"spacing dx = {grid.dx_um!r} um")
+    carrier = 2 * np.pi * optics.n_s * theta_rad / optics.wavelength_cm
+    if not abs(carrier) < np.pi / (grid.dx_um * CM_PER_UM):
+        raise ParameterError(f"tilt theta = {theta_rad!r} rad reaches the "
+                             "grid's Nyquist wavenumber pi/dx")
     if grid.width_um < 6 * w0_um:
         raise DomainError("grid narrower than 6 spot sizes")
     x_um = grid.x_um
-    carrier = 2 * np.pi * optics.n_s * theta_rad / optics.wavelength_cm
     env = np.exp(-((x_um / w0_um) ** 2)) * np.exp(1j * carrier * grid.x_cm)
     return FieldGrid(env.astype(complex), grid, 0.0).normalized()
 
@@ -345,12 +346,11 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
         coefs = drv.force(profile, z_start + h / 2) / a_cm * (h / 2)
     else:
         coefs = np.zeros(n_steps)
-        # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over each step;
-        # k is linear in the fft index on each half of the fft ordering
-        phi_ints = drv.phase_integral(profile, z_start, z_start + h)
-        phi_sq_ints = drv.phase_sq_integral(profile, z_start, z_start + h)
-        dk = 2 * np.pi / (n * dx_cm)
-        n_pos = (n + 1) // 2
+        # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over each step
+        phi_ints = drv.phase_integral(profile, z_start, z_start + h) / a_cm
+        phi_sq_ints = (drv.phase_sq_integral(profile, z_start, z_start + h)
+                       / a_cm**2)
+        k_cm = grid.k_cm
 
     def bent(base, c):
         """base * exp(-i c x), or base itself on a straight axis."""
@@ -383,21 +383,11 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     absorbed = np.zeros(len(steps))
     k = 1
     kernel, fused = kinetic, fused_static
-    step_drive = fused_drive = None  # drive values of the current arrays
+    fused_drive = None  # drive value of the current fused array
     for i in range(n_steps):
-        # the drive's arrays are rebuilt only when the drive changes, so
-        # straight stretches of the axis reuse the previous step's array
         if gauge is BpmGauge.SHIFTED_K:
-            ints = (phi_ints[i], phi_sq_ints[i])
-            if ints != step_drive:
-                step_drive = ints
-                offset = diffraction * ints[1] / a_cm**2
-                slope = -2 * diffraction * ints[0] / a_cm * dk
-                # the negative half of the ordering starts at -(n // 2) dk
-                kernel = np.concatenate((
-                    _linear_phase(n_pos, offset, slope),
-                    _linear_phase(n // 2, offset - slope * (n // 2), slope)))
-                kernel *= kinetic
+            kernel = kinetic * np.exp(-1j * diffraction * (
+                phi_sq_ints[i] - 2 * k_cm * phi_ints[i]))
         spectrum = sfft.fft(env, overwrite_x=True)
         spectrum *= kernel
         env = sfft.ifft(spectrum, overwrite_x=True)
@@ -420,6 +410,7 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
             absorbed[k] = absorbed_total / p_launch
             k += 1
         if i + 1 < n_steps:
+            # straight stretches of the axis reuse the previous step's array
             drive_sum = coefs[i] + coefs[i + 1]
             if drive_sum != fused_drive:
                 fused_drive = drive_sum

@@ -294,7 +294,7 @@ def _validate_tier(resolved, tier):
     check("numerics", "census_threshold", lambda t: 0 < t < 1,
           "must be in (0, 1)")
     check("numerics", "census_merge_um", lambda m: m >= 0, "must be >= 0")
-    check("bands", "n_q", lambda n: n >= 1, "must be >= 1")
+    check("bands", "n_q", lambda n: n >= 2, "must be >= 2 for the fit")
     # a negative mode_q_index selects the middle q sample
     n_q = resolved["bands"]["n_q"]
     if resolved["bands"]["dump_modes"]:

@@ -4,9 +4,10 @@ Every run resolves its configuration first and executes deterministically
 (fixed steps, no RNG anywhere).  Once the summary passes its checks,
 ``run_scenario`` alone writes the tier's outputs, a canonical ``resolved.cfg``
 and a ``manifest.json`` with SHA-256 checksums; re-runs stay bit-identical.
-``multiprocessing`` is imported only by a sweep run with ``jobs > 1``, and
-scipy only inside the tiers that call it, so a fresh CLI process loads
-numpy and this package alone before the run starts.
+``multiprocessing`` is imported only by a sweep with ``jobs > 1`` over two
+or more points, whose pool has at most one worker per point, and scipy only
+inside the tiers that call it, so a fresh CLI process loads numpy and this
+package alone before the run starts.
 """
 
 from __future__ import annotations
@@ -396,12 +397,13 @@ def _run_sweep(scn: Scenario, jobs=1):
     points = [_point_config(scn.resolved, tier, axis, v)
               for v in sweep_axis_values(sweep_cfg)]
     tasks = list(enumerate(points))
+    workers = min(jobs, len(tasks))
     if tier == "two_level":
         results = _sweep_two_level(tasks)
-    elif jobs > 1:
+    elif workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_sweep_point, tasks)
     else:
         results = [_sweep_point(t) for t in tasks]
@@ -450,6 +452,8 @@ def _check_finite(summary):
 def run_scenario(scn: Scenario, out_dir, jobs: int = 1) -> dict:
     """Execute a scenario and return its manifest; with an ``out_dir``,
     write outputs and manifest there once the summary passes its checks."""
+    if not jobs >= 1:
+        raise ConfigError(f"must be >= 1, got {jobs!r}", "--jobs")
     if scn.tier == "sweep":
         summary, outputs = _run_sweep(scn, jobs)
         if summary["n_failed"]:

@@ -208,6 +208,17 @@ class TestFit:
         edge_half_gap = calibrated_bands.half_splitting().min()
         assert abs(fit.delta_cm - edge_half_gap) < 0.02
 
+    @pytest.mark.parametrize("qa", [[-0.3, 0.3], [np.pi / 2]],
+                             ids=["mirrored_pair", "zone_edge_only"])
+    def test_too_few_distinct_q_samples_rejected(self, qa):
+        # cos^2(qa) takes one value, so sigma and delta are not determined;
+        # the mirrored pair would fit sigma = 2.137, delta = 1.118 with rms 0
+        optics = OpticsParams()
+        bands = plane_wave_bands(optics, n_plane_waves=81, n_bands=2,
+                                 q_values=np.array(qa) / optics.spacing_cm)
+        with pytest.raises(ParameterError, match="distinct"):
+            fit_tight_binding(bands)
+
     def test_single_band_rejected(self):
         optics = OpticsParams()
         qs = default_q_values(optics, 8)

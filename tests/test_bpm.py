@@ -1,3 +1,4 @@
+import inspect
 import re
 import warnings
 
@@ -138,6 +139,19 @@ class TestTiltedInput:
         with pytest.raises(DomainError):
             gaussian_tilted_input(80.0, 0.0, optics, tiny)
 
+    def test_tilt_at_the_nyquist_wavenumber_rejected(self, optics):
+        # fig5's grid: the Nyquist wavenumber pi/dx lies at 49.95 theta_B,
+        # so a 1000 theta_B tilt would alias to 0.976 theta_B
+        fig5 = TransverseGrid.for_cells(optics, n_cells=82, n_points=4096)
+        theta_b = bragg_angle(optics)
+        nyquist = 2 * optics.spacing_um / fig5.dx_um * theta_b
+        assert nyquist == pytest.approx(49.95 * theta_b, rel=1e-4)
+        gaussian_tilted_input(80.0, 24 * theta_b, optics, fig5)
+        gaussian_tilted_input(80.0, -0.999 * nyquist, optics, fig5)
+        for theta in (nyquist, -nyquist, 1000 * theta_b, np.nan):
+            with pytest.raises(ParameterError, match="Nyquist"):
+                gaussian_tilted_input(80.0, theta, optics, fig5)
+
     def test_spot_below_grid_spacing_rejected(self, optics, grid):
         # one grid step is the narrowest spot the grid can carry
         gaussian_tilted_input(grid.dx_um, 0.0, optics, grid)
@@ -228,20 +242,36 @@ class TestLinearPhase:
         assert np.max(np.abs(out - np.exp(-1j * c * x))) < 1e-13
 
 
+def _strang_drive(kind):
+    """The single cycle bends the axis for z < 0.2 of 0.3 cm and then holds
+    it straight; the tabulated phase changes at every step of the run."""
+    if kind == "single_cycle":
+        return DriveProfile.single_cycle(5.0, 0.2)
+    z = np.linspace(0.0, 0.3, 16)
+    return DriveProfile.tabulated(z, 2.0 * np.sin(2 * np.pi * z / 0.2)
+                                  * np.exp(-z / 0.3))
+
+
 class TestStrangStep:
     # 1021 is prime, so the factored phases fall back to one exp vector
-    @pytest.mark.parametrize(("gauge", "n_points"), [
-        (BpmGauge.BENT_FRAME, 1024), (BpmGauge.SHIFTED_K, 1024),
-        (BpmGauge.BENT_FRAME, 1021), (BpmGauge.SHIFTED_K, 1021)],
-        ids=["bent_frame", "shifted_k", "bent_frame-prime", "shifted_k-prime"])
-    def test_matches_per_step_reference(self, optics, gauge, n_points):
-        # the bending cycle ends at z = 0.2 of 0.3 cm, so the cached phases
-        # are used on both sides of the change to a straight axis
+    @pytest.mark.parametrize(("gauge", "n_points", "drive_kind"), [
+        (BpmGauge.BENT_FRAME, 1024, "single_cycle"),
+        (BpmGauge.SHIFTED_K, 1024, "single_cycle"),
+        (BpmGauge.BENT_FRAME, 1021, "single_cycle"),
+        (BpmGauge.SHIFTED_K, 1021, "single_cycle"),
+        (BpmGauge.BENT_FRAME, 1024, "tabulated"),
+        (BpmGauge.SHIFTED_K, 1024, "tabulated")],
+        ids=["bent_frame", "shifted_k", "bent_frame-prime", "shifted_k-prime",
+             "bent_frame-tabulated", "shifted_k-tabulated"])
+    def test_matches_per_step_reference(self, optics, gauge, n_points,
+                                        drive_kind):
+        # after the single cycle the bent frame reuses its fused phases on
+        # the straight axis
         grid = TransverseGrid.for_cells(optics, n_cells=40,
                                         n_points=n_points)
         field = gaussian_tilted_input(40.0, bragg_angle(optics) / 2, optics,
                                       grid)
-        drive = DriveProfile.single_cycle(5.0, 0.2)
+        drive = _strang_drive(drive_kind)
         absorber = AbsorberSpec()
         traj = bpm_run(field, optics, drive, 0.3, dz_cm=1e-3, n_guides=80,
                        gauge=gauge, absorber=absorber, snapshot_every=50)
@@ -255,6 +285,17 @@ class TestStrangStep:
             field, optics, drive, 0.3, 1e-3, gauge, index_profile, absorber),
             start=1) if step % 50 == 0]
         assert np.max(np.abs(traj.fields[1:] - inner)) < 1e-12
+
+    def test_shifted_k_kernel_is_the_closed_form(self):
+        # the cross-check gauge builds each step's kernel from the plain
+        # formula, so only the bent frame's factor goes through
+        # _linear_phase
+        source = inspect.getsource(bpm_run)
+        assert "step_drive" not in source
+        assert "np.concatenate" not in source
+        bent_factor = source[source.index("def bent("):].split("\n\n")[0]
+        assert source.count("_linear_phase(") == 1
+        assert "_linear_phase(" in bent_factor
 
     def test_absorbed_equals_power_lost(self, optics):
         grid = TransverseGrid.for_cells(optics, n_cells=20, n_points=1024)

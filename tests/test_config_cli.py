@@ -276,6 +276,44 @@ class TestRunner:
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "par" / name).read_bytes()
 
+    def test_sweep_pool_is_capped_at_the_point_count(self, tmp_path,
+                                                     monkeypatch):
+        # a recorder stands in for the pool and maps serially, so no
+        # process starts
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return list(map(func, items))
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        sweep_text = DIRAC_CONFIG.replace("tier = dirac", "tier = sweep")
+        sweep_text += ("\n[sweep]\ntier = dirac\naxis = drive.phi0\n"
+                       "values = 1,2,3\n")
+        manifest = run_scenario(scenario_from_text(sweep_text), str(tmp_path),
+                                jobs=5000)
+        assert sizes == [3]
+        assert manifest["summary"]["n_failed"] == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        code = cli_main(["sweep", "--preset", "fig3", "--jobs", jobs,
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: --jobs: must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("axis, values", [
         ("drive.period_cm", "0.6676,0.5,0.81"),
         ("input.qa_over_pi", "0.2,0.25,0.3"),
@@ -393,6 +431,13 @@ class TestCli:
          2, "config error: bands.n_bands"),
         (["bands", "--preset", "fig4_bands", "--set", "bands.n_q=0"],
          2, "config error: bands.n_q"),
+        # one q sample leaves the tight-binding fit's sigma and delta open
+        (["bands", "--preset", "fig4_bands", "--set", "bands.n_q=1"],
+         2, "config error: bands.n_q: must be >= 2"),
+        # beyond fig5's Nyquist wavenumber (49.95 theta_B) the tilt aliases
+        (["run", "--preset", "fig5b", "--set", "input.theta_over_bragg=1000",
+          "--set", "input.purify_band=0", "--set", "numerics.z_end_cm=0.01"],
+         3, "Nyquist wavenumber"),
         (["bands", "--preset", "fig4_bands", "--set", "bands.n_q=8",
           "--set", "bands.dump_modes=1", "--set", "bands.mode_q_index=99"],
          2, "config error: bands.mode_q_index"),
@@ -477,7 +522,8 @@ class TestCli:
         (["run", "--preset", "fig2a", "--set", "scenario.tier=tight_binding",
           "--set", "lattice.n_sites=1099511627776", "--set",
           "numerics.z_end_cm=0.05"], 3, "numeric error: out of memory"),
-    ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "mode_q_index",
+    ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "n_q_one",
+            "bpm_aliased_tilt", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
             "nan_summary", "non_finite_bands", "empty_sweep_range",
             "empty_sweep_values", "bands_sweep", "sweep_n_target",
