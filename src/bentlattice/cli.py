@@ -12,7 +12,7 @@ import sys
 
 from .bands import calibrate_channel
 from .bpm import OpticsParams
-from .config import scenario_from_file, scenario_from_text
+from .config import scenario_from_file, scenario_from_text, unread_overrides
 from .errors import BentLatticeError, ConfigError
 from .presets import preset_names, preset_text
 from .runner import run_scenario
@@ -20,10 +20,18 @@ from .runner import run_scenario
 
 def _load_scenario(args):
     if getattr(args, "preset", None):
-        return scenario_from_text(preset_text(args.preset), args.set or [])
-    if getattr(args, "config", None):
-        return scenario_from_file(args.config, args.set or [])
-    raise ConfigError("either --config or --preset is required")
+        scn = scenario_from_text(preset_text(args.preset), args.set or [])
+    elif getattr(args, "config", None):
+        scn = scenario_from_file(args.config, args.set or [])
+    else:
+        raise ConfigError("either --config or --preset is required")
+    reader = f"the {scn.tier} tier"
+    if scn.tier == "sweep":
+        reader += f" or its {scn.section('sweep')['tier']} points"
+    for path in unread_overrides(scn, args.set):
+        print(f"warning: --set {path} is not read by {reader}",
+              file=sys.stderr)
+    return scn
 
 
 def _add_common(parser):

@@ -409,6 +409,16 @@ class Scenario:
         return Boundary(self.section("numerics")["boundary"])
 
 
+def unread_overrides(scn: Scenario, overrides) -> list:
+    """The ``section.key`` paths of ``overrides``, once each, that neither
+    the scenario's tier nor, in a sweep, its point tier reads."""
+    tiers = {scn.tier, scn.section("sweep")["tier"]} \
+        if scn.tier == "sweep" else {scn.tier}
+    paths = dict.fromkeys(item.split("=", 1)[0] for item in overrides or ())
+    return [path for path in paths if tiers.isdisjoint(
+        SCHEMA[path.split(".")[0]][path.split(".")[1]][3])]
+
+
 def scenario_from_text(text: str, overrides=None) -> Scenario:
     return Scenario(resolve(apply_overrides(parse_config_text(text), overrides)))
 

@@ -9,10 +9,12 @@ span exactly, no adaptivity, no randomness.
 The composed stepper ``_advance`` moves a batch of 2x2 problems
 i dy/dz = [[-a, b], [b, a]] y by products of closed-form fourth-order
 Magnus step maps (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151),
-each an exact SU(2) exponential.  It serves the two-level tier and every
-periodic lattice run, where each Bloch momentum is its own sublattice
-pair.  ``rk4_evolve`` steps a state vector one RK4 step at a time and
-serves only the hard-wall lattice runs, which do not split by momentum.
+each an exact SU(2) exponential [[p, s], [-s*, p*]] held as the complex
+pair (p, s), and reads snapshots off each block's product tree.  It serves
+the two-level tier and every periodic lattice run, where each Bloch
+momentum is its own sublattice pair.  ``rk4_evolve`` steps a state vector
+one RK4 step at a time and serves only the hard-wall lattice runs, which
+do not split by momentum.
 These two and the Strang loops ``dirac.dirac_evolve`` and ``bpm.bpm_run``
 share one contract: the start z0, the step grid ``(n, h)``, the sorted
 ``snapshot_steps`` (0 and n included) and checks at the block ends of
@@ -40,8 +42,6 @@ BLOCK_STEPS = 256
 # snapshot stride
 TREE_STEPS = 2048
 TREE_RUNS = 8
-# (Re p, Im p, Re s, Im s) of a state's map to (Re y0, Im y0, Re y1, Im y1)
-_STATE_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 # step-count ceiling of one run, 1000 times the longest preset's 100k
 # steps: a step grid above it would run for days, so it is an input error
 MAX_STEPS = 10**8
@@ -98,9 +98,9 @@ def half_step_blocks(z0: float, n: int, h: float, block: int = BLOCK_STEPS):
 
 def _step_maps(a, b, h):
     """Fourth-order Magnus step maps R = [[p, s], [-s*, p*]] of the m steps
-    whose half-step samples ``(a, b)`` have 2m + 1 rows, as four real
-    arrays ``(Re p, Im p, Re s, Im s)`` of shape (M, B); rows m..M-1 of the
-    power-of-two M >= m hold the identity map.
+    whose half-step samples ``(a, b)`` have 2m + 1 rows, as one complex
+    array ``(p, s)`` of shape (2, M, B); rows m..M-1 of the power-of-two
+    M >= m hold the identity map.
 
     The generator G_j = [[-a_j, b_j], [b_j, a_j]] = n_j . sigma with
     n_j = (b_j, 0, -a_j) at the step's start, middle and end (j = 0, 1, 2)
@@ -114,9 +114,10 @@ def _step_maps(a, b, h):
     a0, a1, a2 = a[:-2:2], a[1::2], a[2::2]
     b0, b1, b2 = b[:-2:2], b[1::2], b[2::2]
     m = len(a1)
-    out = np.zeros((4, 1 << (m - 1).bit_length(), a1.shape[1]))
+    out = np.zeros((2, 1 << (m - 1).bit_length(), a1.shape[1]), dtype=complex)
     out[0, m:] = 1.0
-    pr, pi, sr, si = out[:, :m]
+    p, s = out[:, :m]
+    pr, pi, sr, si = p.real, p.imag, s.real, s.imag
     # Im p, Re s, Im s are -v_z, -v_y, -v_x times sin theta / theta
     np.add(a0, a2, out=pi)
     pi += 4 * a1
@@ -133,53 +134,40 @@ def _step_maps(a, b, h):
     # cos theta within the guard, with one transcendental call less
     np.sqrt(1.0 - sin * sin, out=pr)
     pr[~(theta <= MAX_STEP_ANGLE)] = np.nan
-    out[1:, :m] *= sin / theta
+    ratio = sin / theta
+    out[:, :m].imag *= ratio
+    sr *= ratio
     return out
 
 
 def _compose(x, y):
-    """Product x y of maps [[p, s], [-s*, p*]] held as (Re p, Im p, Re s,
-    Im s): p = p_x p_y - s_x s_y*, s = p_x s_y + s_x p_y*."""
-    xpr, xpi, xsr, xsi = x
-    ypr, ypi, ysr, ysi = y
-    pr = xpr * ypr
-    pr -= xpi * ypi
-    pr -= xsr * ysr
-    pr -= xsi * ysi
-    pi = xpr * ypi
-    pi += xpi * ypr
-    pi -= xsi * ysr
-    pi += xsr * ysi
-    sr = xpr * ysr
-    sr -= xpi * ysi
-    sr += xsr * ypr
-    sr += xsi * ypi
-    si = xpr * ysi
-    si += xpi * ysr
-    si += xsi * ypr
-    si -= xsr * ypi
-    return pr, pi, sr, si
+    """Product x y of maps [[p, s], [-s*, p*]] held as (p, s):
+    p = p_x p_y - s_x s_y*, s = p_x s_y + s_x p_y*."""
+    xp, xs = x
+    yp, ys = y
+    p = xp * yp
+    p -= xs * np.conj(ys)
+    s = xp * ys
+    s += xs * np.conj(yp)
+    return p, s
 
 
 def _product(maps):
-    """R_{M-1} ... R_1 R_0 of a power-of-two stack as a balanced tree of
-    pairwise products, each level one vectorised ``_compose``."""
+    """Levels of the balanced product tree of a power-of-two stack: level l
+    holds the aligned products R_{(j+1) 2^l - 1} ... R_{j 2^l} of 2^l maps,
+    each level one vectorised ``_compose`` of pairs of the level below, and
+    the last level's one node is the whole product R_{M-1} ... R_0."""
+    levels = [maps]
     while len(maps[0]) > 1:
         maps = _compose([x[1::2] for x in maps], [x[0::2] for x in maps])
-    return [x[0] for x in maps]
+        levels.append(maps)
+    return levels
 
 
-def _prefix(maps):
-    """Inclusive prefix products R_k ... R_0 of a power-of-two stack, in
-    place, by doubling.  Its last row repeats ``_product``'s tree operation
-    for operation, so a block with snapshots ends in the same state."""
-    d, size = 1, len(maps[0])
-    while d < size:
-        for x, v in zip(maps, _compose([x[d:] for x in maps],
-                                       [x[:-d] for x in maps])):
-            x[d:] = v
-        d *= 2
-    return maps
+def _put(y, state):
+    """Write states held as maps (p, s) = (y0, -y1*) into y (..., 2)."""
+    y[..., 0] = state[0]
+    y[..., 1] = -np.conj(state[1])
 
 
 def _advance(y0, coefficients, z0, n, h, steps, monitor=None):
@@ -191,47 +179,52 @@ def _advance(y0, coefficients, z0, n, h, steps, monitor=None):
     half-step samples, each of shape (2m + 1, B); blocks hold
     ``TREE_STEPS`` steps for up to ``TREE_RUNS`` states and fewer for more.
     A state (y0, y1) rides as the map with p = y0, s = -y1*, whose first
-    column it is.  The chain moves from block end to block end by the
-    block's balanced product, scaled to |p|^2 + |s|^2 = 1; snapshots
-    inside a block are read off its prefix products, which never feed the
-    chain.  ``monitor(i, y)`` sees the states y (B, 2) after each block's
-    last step i.
+    column it is.  The chain moves from block end to block end by the top
+    node of the block's product tree, scaled to |p|^2 + |s|^2 = 1.  The
+    state after t steps inside a block applies to the block's start state
+    the tree nodes of t's binary digits, from the highest digit down, one
+    vectorised ``_compose`` per level over the snapshots with that digit
+    set; snapshots never feed the chain.  ``monitor(i, y)`` sees the states
+    y (B, 2) after each block's last step i.
 
     Overflowing generators and steps above ``MAX_STEP_ANGLE`` leave NaN in
     their own columns without numpy warnings; the callers' norm, power and
     finiteness checks report them.
     """
     out = np.empty((len(steps), len(y0), 2), dtype=complex)
-    parts = out.view(float)   # (len(steps), B, 4)
-    state = (np.ascontiguousarray(y0, dtype=complex).view(float)
-             * _STATE_SIGNS).T
+    y0 = np.asarray(y0, dtype=complex)
+    state = y0[:, 0], -np.conj(y0[:, 1])
     block = max(1, TREE_STEPS >> ((len(y0) - 1) // TREE_RUNS).bit_length())
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, i1, zs in half_step_blocks(z0, n, h, block):
             if steps[k] == i0:
-                parts[k] = state.T * _STATE_SIGNS
+                _put(out[k], state)
                 k += 1
-            maps = _step_maps(*coefficients(zs), h)
+            levels = _product(_step_maps(*coefficients(zs), h))
             j = np.searchsorted(steps, i1)
             if j > k:
-                maps = _prefix(maps)
-                inner = _compose([x[steps[k:j] - i0 - 1] for x in maps], state)
-                parts[k:j] = np.moveaxis(inner, 0, -1) * _STATE_SIGNS
+                t = steps[k:j] - i0
+                ys = [np.repeat(x[None], len(t), axis=0) for x in state]
+                for nodes in levels[-2::-1]:
+                    # each node of this level spans this many steps
+                    span = len(levels[0][0]) // len(nodes[0])
+                    sel = np.flatnonzero(t & span)
+                    node = [x[t[sel] // span - 1] for x in nodes]
+                    for y, v in zip(ys, _compose(node, [y[sel] for y in ys])):
+                        y[sel] = v
+                _put(out[k:j], ys)
                 k = j
-                total = [x[-1] for x in maps]
-            else:
-                total = _product(maps)
             # a unit block product keeps rounding from adding up along the
             # chain, as when a straight axis repeats one map; NaN stays NaN
-            total = np.array(total)
-            total /= np.sqrt((total * total).sum(axis=0))
-            state = np.array(_compose(total, state))
+            total = np.array([x[0] for x in levels[-1]])
+            total /= np.sqrt(np.sum(total.real ** 2 + total.imag ** 2, axis=0))
+            state = _compose(total, state)
             if monitor is not None:
                 y = np.empty_like(out[0])
-                y.view(float)[:] = state.T * _STATE_SIGNS
+                _put(y, state)
                 monitor(i1, y)
-    parts[k] = state.T * _STATE_SIGNS
+    _put(out[k], state)
     return out
 
 

@@ -212,10 +212,14 @@ def gaussian_packet_state(q0, width_sites, params: SuperlatticeParams,
 
     Built in q space on the periodic chain, so the state is an exact
     single-band packet (each q component is the branch eigenvector at that
-    q), not an envelope approximation.
+    q), not an envelope approximation.  The centre must lie on the chain,
+    -n/2 <= center_site < n/2, where the packet does not wrap around.
     """
     require_positive(width_sites=width_sites)
     n = params.n_sites
+    if not -n / 2 <= center_site < n / 2:
+        raise ParameterError(f"center_site = {center_site!r} lies off the "
+                             f"{n}-site chain, sites {-n // 2}..{n // 2 - 1}")
     qa0 = float(q0) * params.spacing_cm
     kappa = 2 * np.pi * np.arange(-n // 2, n // 2) / n
     # spectrum of exp(-(l/width)^2), of Fourier width 2 / width; a width

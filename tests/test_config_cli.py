@@ -1,5 +1,6 @@
 import ast
 import collections
+import importlib
 import json
 import re
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import bentlattice
 from bentlattice import ConfigError
+from bentlattice.cli import _load_scenario, build_parser
 from bentlattice.cli import main as cli_main
 from bentlattice.config import (MAX_SWEEP_POINTS, SCHEMA, TIERS, Scenario,
                                 apply_overrides, canonical_dump,
@@ -20,6 +22,8 @@ from bentlattice.config import (MAX_SWEEP_POINTS, SCHEMA, TIERS, Scenario,
 from bentlattice.fieldio import read_csv
 from bentlattice.presets import preset_names, preset_text
 from bentlattice.runner import run_scenario, sweep_axis_values
+
+REPO = Path(__file__).resolve().parents[1]
 
 MINIMAL_TWO_LEVEL = """
 [scenario]
@@ -391,6 +395,45 @@ class TestCli:
         stored = json.loads((tmp_path / "manifest.json").read_text())
         assert stored["summary"]["P_final"] > 0.9
 
+    def test_unread_set_key_warns_and_changes_nothing(self, tmp_path,
+                                                     capsys):
+        # both keys are at their defaults, so the run and its files are
+        # those of the bare preset
+        argv = ["run", "--preset", "fig2a", "--set",
+                "numerics.grid_points=4096", "--set", "lattice.n_sites=64"]
+        assert cli_main([*argv, "--out", str(tmp_path / "set")]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "warning: --set numerics.grid_points is not read by the "
+            "two_level tier",
+            "warning: --set lattice.n_sites is not read by the two_level "
+            "tier"]
+        assert cli_main(argv[:3] + ["--out", str(tmp_path / "bare")]) == 0
+        bare_out, bare_err = capsys.readouterr()
+        assert (out, bare_err) == (bare_out, "")
+        for path in (tmp_path / "bare").iterdir():
+            assert (tmp_path / "set" / path.name).read_bytes() == \
+                path.read_bytes(), path.name
+
+    def test_sweep_reads_the_keys_of_its_point_tier(self, tmp_path, capsys):
+        argv = ["sweep", "--preset", "fig3", "--set", "sweep.values=0.5",
+                "--set", "drive.phi0=0.5", "--set", "input.width_sites=8",
+                "--set", "input.width_sites=9", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: --set input.width_sites is not read by the sweep tier "
+            "or its two_level points"]
+
+    @pytest.mark.parametrize("workload", ["scan", "trajectory", "beam"])
+    def test_benchmark_cases_set_only_keys_their_tier_reads(
+            self, workload, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for seed in (0, 1):
+            for case in workloads.cases(workload, seed):
+                _load_scenario(build_parser().parse_args(case.argv))
+                assert capsys.readouterr().err == "", (case.name, seed)
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[scenario]\ntier = warp\n")
@@ -522,6 +565,11 @@ class TestCli:
         (["run", "--preset", "fig2a", "--set", "scenario.tier=tight_binding",
           "--set", "lattice.n_sites=1099511627776", "--set",
           "numerics.z_end_cm=0.05"], 3, "numeric error: out of memory"),
+        (["run", "--preset", "fig2a", "--set", "scenario.tier=tight_binding",
+          "--set", "lattice.n_sites=128", "--set", "numerics.z_end_cm=1",
+          "--set", "input.packet=gaussian", "--set", "input.width_sites=8",
+          "--set", "input.center_site=100", "--set",
+          "numerics.boundary=hard_wall"], 3, "off the 128-site chain"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "n_q_one",
             "bpm_aliased_tilt", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
@@ -537,7 +585,7 @@ class TestCli:
             "bpm_negative_absorber", "unread_grid_axis",
             "unread_optics_axis", "two_level_unread_n_sites_axis",
             "dirac_negative_width", "dirac_underflowing_width",
-            "lattice_out_of_memory"])
+            "lattice_out_of_memory", "packet_off_chain"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
         with np.errstate(all="ignore"):

@@ -12,8 +12,8 @@ from bentlattice import DriveProfile, ParameterError
 from bentlattice.bpm import (BpmGauge, OpticsParams, TransverseGrid,
                              bpm_run, gaussian_tilted_input)
 from bentlattice.dirac import XiGrid, dirac_evolve, gaussian_spinor_packet
-from bentlattice.integrate import (BLOCK_STEPS, default_dz, rk4_evolve,
-                                   snapshot_steps, step_grid)
+from bentlattice.integrate import (BLOCK_STEPS, TREE_STEPS, default_dz,
+                                   rk4_evolve, snapshot_steps, step_grid)
 from bentlattice.tight_binding import (Boundary, Branch, Gauge, ModeVector,
                                        SuperlatticeParams, bloch_mode_state,
                                        evolve_bare, evolve_gauged,
@@ -99,10 +99,50 @@ class TestRk4Stepper:
             np.testing.assert_array_equal(y, every[i])
 
 
+def _magnus(tier, drive, n, stride):
+    """``(z, states)`` of an n-step run of the composed stepper at 1e-3 cm
+    steps: the two-level tier or a periodic lattice of ``tier`` sites."""
+    if tier == "two_level":
+        traj = _two_level(drive, z_end=n * 1e-3, dz=1e-3,
+                          snapshot_every=stride)
+        return traj.z, traj.r
+    params = SuperlatticeParams(2.0, 1.817, n_sites=tier)
+    state = gaussian_packet_state(params.q_from_qa(np.pi / 4), tier / 8,
+                                  params)
+    traj = evolve_gauged(state, params, drive, n * 1e-3, dz=1e-3,
+                         snapshot_every=stride)
+    return traj.z, traj.states
+
+
+class TestMagnusSnapshots:
+    """The composed stepper keeps the states of its stride-1 runs at
+    ``snapshot_steps``, bit for bit, whichever tree nodes a snapshot reads
+    and whether or not its block has snapshots at all."""
+
+    # (tier, block length): one column and the 4 momentum columns of 8
+    # sites take TREE_STEPS-step blocks, the 64 of 128 sites 256-step ones
+    @pytest.mark.parametrize(("tier", "block", "n"), [
+        pytest.param(tier, block, n, id=f"{tier}-{n}")
+        for tier, block in (("two_level", TREE_STEPS), (8, TREE_STEPS),
+                            (128, 256))
+        for n in (block - 1, block, block + 1,
+                  2 * block - 1, 2 * block, 2 * block + 1)])
+    def test_states_do_not_depend_on_the_stride(self, tier, block, n):
+        drive = DriveProfile.from_phase_amplitude("sinusoidal", 1.0, 0.6676)
+        runs = {stride: _magnus(tier, drive, n, stride)
+                for stride in (1, 7, block, None)}
+        z_every, every = runs[1]
+        assert len(z_every) == n + 1
+        for stride, (z, states) in runs.items():
+            steps = snapshot_steps(n, stride)
+            np.testing.assert_array_equal(z, z_every[steps])
+            np.testing.assert_array_equal(states, every[steps])
+
+
 def _two_level(drive, **kw):
     params = SuperlatticeParams(2.0, 1.817)
     state = ground_state(params.q_from_qa(np.pi / 4), params)
-    return evolve(state, drive, params, z_end=0.1, **kw)
+    return evolve(state, drive, params, **{"z_end": 0.1, **kw})
 
 
 def _tight_binding(drive, **kw):
@@ -291,6 +331,15 @@ def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
              if isinstance(node, ast.Call)]
     assert calls.count("step_grid") == 1
     assert "_evolve_sites" not in text and "_evolve_bloch" not in text
+
+
+def test_source_holds_one_map_product():
+    # the composed stepper multiplies its complex maps in one place, and
+    # reads snapshots off the block's product tree, with no prefix products
+    text = _source_text()
+    assert len(re.findall(r"^def _compose\(", text, re.M)) == 1
+    for removed in ("_prefix", "_STATE_SIGNS"):
+        assert not re.search(rf"\b{removed}\b", text), removed
 
 
 def test_source_holds_one_output_writer():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -206,12 +207,21 @@ class TestGaussianPacket:
         tol = 8 * np.finfo(float).eps * n_sites  # rounding of exp(i qa l)
         for qa0 in (0.3, np.pi / 4, -2.9):
             for width in (1.0, 6.0):
-                for center in (0.0, -40.0, 3.5):
+                for center in (0.0, -n_sites / 2, n_sites / 2 - 0.5):
                     q0 = lattice.q_from_qa(qa0)
                     packet = gaussian_packet_state(q0, width, lattice, branch,
                                                    center)
                     ref = packet_reference(q0, width, lattice, branch, center)
                     assert np.max(np.abs(packet.amplitudes - ref)) < tol
+
+    @pytest.mark.parametrize("center", [-33.0, -32.5, 32.0, 100.0, 1e9,
+                                        math.inf, math.nan])
+    def test_center_off_the_chain_is_rejected(self, center):
+        # sites run from -32 to 31; a centre beyond them would wrap round
+        lattice = SuperlatticeParams(2.0, 1.817, n_sites=64)
+        q0 = lattice.q_from_qa(np.pi / 4)
+        with pytest.raises(ParameterError, match="off the 64-site chain"):
+            gaussian_packet_state(q0, 8.0, lattice, center_site=center)
 
     @pytest.mark.parametrize("width", [1e200, 1e308])
     def test_overflowing_width_is_the_bloch_mode(self, params, width):

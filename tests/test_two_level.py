@@ -320,6 +320,9 @@ class TestComposedStepper:
              scale=0.01)
     @example(seed=2, n_runs=TREE_RUNS + 1, n=2 * TREE_STEPS, stride=7,
              scale=0.01)
+    # every in-block step count, up to TREE_STEPS - 1, read off the tree
+    @example(seed=4, n_runs=TREE_RUNS + 1, n=TREE_STEPS + 1, stride=1,
+             scale=0.01)
     # step angles far above MAX_STEP_ANGLE: the run must fail, not drift
     @example(seed=3, n_runs=2, n=40, stride=9, scale=0.5)
     def test_matches_per_step_magnus(self, seed, n_runs, n, stride, scale):
@@ -363,8 +366,8 @@ class TestComposedStepper:
     def test_step_maps_are_unitary(self, h, samples):
         # |n_j| <= 0.09/h bounds every step angle by 0.09 + 0.09^2/6
         a, b = samples * (0.09 / (h * np.sqrt(2)))
-        maps = _step_maps(a, b, h)
-        norm = np.sum(maps * maps, axis=0)
+        p, s = _step_maps(a, b, h)
+        norm = p.real**2 + p.imag**2 + s.real**2 + s.imag**2
         assert np.all(np.abs(norm - 1.0) <= 4 * np.finfo(float).eps)
 
 
