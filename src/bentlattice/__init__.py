@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 
 from .bands import (BandStructure, CalibrationResult, TightBindingFit,
                     calibrate_channel, fit_tight_binding, plane_wave_bands)
-from .bpm import (AbsorberSpec, BpmGauge, ChannelShape, DEFAULT_OPTICS,
-                  FieldGrid, OpticsParams, TransverseGrid, bpm_run,
-                  bragg_angle, build_index_profile, gaussian_tilted_input)
+from .bpm import (AbsorberSpec, ChannelShape, DEFAULT_OPTICS, FieldGrid,
+                  OpticsParams, TransverseGrid, bpm_run, bragg_angle,
+                  build_index_profile, gaussian_tilted_input)
 from .dirac import (SpinorField, SpinorTrajectory, XiGrid, band_weights,
                     dirac_evolve, free_dispersion, gaussian_spinor_packet,
                     lattice_from_spinor, spinor_from_lattice)

@@ -22,6 +22,9 @@ from .bpm import OpticsParams, sample_index_change
 from .drive import CM_PER_UM
 from .errors import AccuracyError, CalibrationError, ParameterError
 
+# samples of one cell in the Fourier transform of its potential
+N_CELL = 8192
+
 
 @dataclass(frozen=True)
 class BandStructure:
@@ -85,7 +88,7 @@ def grid_q_values(optics: OpticsParams, window_cm: float):
     return np.where(qs > period / 2, qs - period, qs)
 
 
-def _potential_matrix(optics: OpticsParams, g_indices, n_cell: int = 8192):
+def _potential_matrix(optics: OpticsParams, g_indices):
     """Fourier matrix V_{G-G'} of 2 pi (n_s - n(x))/lambda over one cell.
 
     The cell is sampled on [0, 2a) in the same coordinates as the full
@@ -97,8 +100,8 @@ def _potential_matrix(optics: OpticsParams, g_indices, n_cell: int = 8192):
     on the default optics), not physics, so it is dropped.
     """
     a_um = optics.spacing_um
-    x_um = np.arange(n_cell) / n_cell * 2 * a_um
-    dn = np.zeros(n_cell)
+    x_um = np.arange(N_CELL) / N_CELL * 2 * a_um
+    dn = np.zeros(N_CELL)
     for center in (-a_um, 0.0, a_um, 2 * a_um):
         peak = optics.dn1 if (round(center / a_um) % 2 == 0) else optics.dn2
         dn += peak * sample_index_change(optics, x_um - center)
@@ -106,7 +109,7 @@ def _potential_matrix(optics: OpticsParams, g_indices, n_cell: int = 8192):
     # reports the non-finite operator as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
         v_x = -2 * np.pi * dn / optics.wavelength_cm
-        v_g = np.fft.rfft(v_x).real / n_cell
+        v_g = np.fft.rfft(v_x).real / N_CELL
     return v_g[np.abs(g_indices[:, None] - g_indices[None, :])]
 
 
@@ -125,7 +128,6 @@ def _mirror_sources(q_values, a_cm):
 
 def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
                      n_q: int = 128, n_bands: int = 4, q_values=None,
-                     n_cell: int = 8192,
                      check_truncation: bool = False) -> BandStructure:
     """Lowest n_bands eigenpairs of the real symmetric cell operator.
 
@@ -147,7 +149,7 @@ def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
     g_indices = np.arange(-half, half + 1)
     a_cm = optics.spacing_cm
     g = g_indices * (np.pi / a_cm)
-    vmat = _potential_matrix(optics, g_indices, n_cell)
+    vmat = _potential_matrix(optics, g_indices)
     kinetic = optics.diffraction_cm * (q_values[:, None] + g) ** 2
     if not (np.all(np.isfinite(vmat)) and np.all(np.isfinite(kinetic))):
         raise ParameterError("cell operator is not finite; check the optics "
@@ -171,7 +173,7 @@ def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
 
     if check_truncation:
         finer = plane_wave_bands(optics, n_plane_waves + 20, n_bands=n_bands,
-                                 q_values=q_values, n_cell=n_cell)
+                                 q_values=q_values)
         shift = np.max(np.abs(finer.omega - bands.omega))
         if shift > 1e-4:
             warnings.warn(

@@ -4,9 +4,9 @@ The solver works in the waveguide reference frame where the array is
 straight and the axis bending appears as a z-dependent linear potential.
 Both split-step substeps are pure phase multiplications, so with the
 boundary absorber at zero strength the scheme is exactly unitary on the
-periodic grid.  An alternative gauge (``bpm_run(gauge=...)``), which the
-tests use as a cross-check on band populations, moves the bending into a
-z-dependent momentum shift of the diffraction kernel.
+periodic grid.  The tests check the loop against a periodic-cell
+reference that carries the bending as a momentum shift of the kinetic
+term instead.
 
 The step loop costs little more than its FFT pair: one x-space multiply
 per step.  Strang splitting lets the trailing half-step exp(-i V h/2) of one
@@ -281,11 +281,6 @@ def _linear_phase(n, offset, slope):
     return np.multiply.outer(rows, cols).ravel()
 
 
-class BpmGauge(str, Enum):
-    BENT_FRAME = "bent_frame"
-    SHIFTED_K = "shifted_k"
-
-
 @dataclass
 class BpmTrajectory:
     z: np.ndarray
@@ -307,22 +302,20 @@ class BpmTrajectory:
 def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
             z_end: float, dz_cm: float = DEFAULT_DZ_CM, snapshot_every: int = None,
             n_guides: int = 60, absorber: AbsorberSpec = AbsorberSpec(),
-            gauge: BpmGauge = BpmGauge.BENT_FRAME,
             index_profile: np.ndarray = None,
             intake_warn: float = 1e-3, intake_error: float = 1e-2) -> BpmTrajectory:
     """Strang split-step propagation of the paraxial envelope to z_end.
 
-    bent_frame applies the axis bending as a linear potential evaluated at
-    each step midpoint; shifted_k keeps the potential static and shifts the
-    diffraction kernel by Phi(z)/a with exact per-step phase integrals.
-    Absorbed power beyond ``intake_warn`` of the launch power warns, beyond
-    ``intake_error`` raises DomainError naming the step's z.  A launch power
-    or threshold that is not positive and finite is a ParameterError.
+    Each step is exp(-i W h/2) exp(-i D k^2 h) exp(-i W h/2), where W is the
+    static potential of the array plus the bend's linear potential b x, its
+    slope b = F/a taken at the step midpoint.  Absorbed power beyond
+    ``intake_warn`` of the launch power warns, beyond ``intake_error``
+    raises DomainError naming the step's z.  A launch power or threshold
+    that is not positive and finite is a ParameterError.
     """
     import scipy.fft as sfft
 
     require_positive(intake_warn=intake_warn, intake_error=intake_error)
-    gauge = BpmGauge(gauge)
     grid = field.grid
     env = field.envelope.astype(complex)
     p_launch = float(np.sum(np.abs(env) ** 2) * grid.dx_um)
@@ -336,21 +329,11 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
 
     n = grid.n
     x0_cm, dx_cm = grid.x_min_um * CM_PER_UM, grid.dx_um * CM_PER_UM
-    diffraction = optics.diffraction_cm
-    kinetic = np.exp(-1j * diffraction * grid.k_cm**2 * h)
-    a_cm = optics.spacing_cm
+    kinetic = np.exp(-1j * optics.diffraction_cm * grid.k_cm**2 * h)
     z_start = field.z + np.arange(n_steps) * h
-    if gauge is BpmGauge.BENT_FRAME:
-        # coefficient c = b h/2 of each half-step's factor exp(-i c x), with
-        # b the slope of the bend's linear potential b x at the step midpoint
-        coefs = drv.force(profile, z_start + h / 2) / a_cm * (h / 2)
-    else:
-        coefs = np.zeros(n_steps)
-        # kinetic symbol (k - Phi(z)/a)^2 integrated exactly over each step
-        phi_ints = drv.phase_integral(profile, z_start, z_start + h) / a_cm
-        phi_sq_ints = (drv.phase_sq_integral(profile, z_start, z_start + h)
-                       / a_cm**2)
-        k_cm = grid.k_cm
+    # coefficient c = b h/2 of each half-step's factor exp(-i c x), with b
+    # the slope of the bend's linear potential b x at the step midpoint
+    coefs = drv.force(profile, z_start + h / 2) / optics.spacing_cm * (h / 2)
 
     def bent(base, c):
         """base * exp(-i c x), or base itself on a straight axis."""
@@ -382,14 +365,10 @@ def bpm_run(field: FieldGrid, optics: OpticsParams, profile: drv.DriveProfile,
     del v_static, static_half, mask
     absorbed = np.zeros(len(steps))
     k = 1
-    kernel, fused = kinetic, fused_static
     fused_drive = None  # drive value of the current fused array
     for i in range(n_steps):
-        if gauge is BpmGauge.SHIFTED_K:
-            kernel = kinetic * np.exp(-1j * diffraction * (
-                phi_sq_ints[i] - 2 * k_cm * phi_ints[i]))
         spectrum = sfft.fft(env, overwrite_x=True)
-        spectrum *= kernel
+        spectrum *= kinetic
         env = sfft.ifft(spectrum, overwrite_x=True)
         for edge, edge_loss in edges:
             absorbed_total += np.dot(np.square(env[edge].view(float)),

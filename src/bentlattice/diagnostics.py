@@ -27,6 +27,11 @@ from .tight_binding import (Branch, Gauge, LatticeTrajectory,
                             SuperlatticeParams, _branch_vector,
                             sublattice_momenta, to_sublattice_pairs)
 
+# fewest samples above the census level that make a packet
+MIN_PACKET_POINTS = 3
+# trailing snapshots a packet velocity is fitted over
+VELOCITY_FIT_SNAPSHOTS = 5
+
 
 # ---------------------------------------------------------------------------
 # continuum band projections
@@ -197,7 +202,7 @@ def _linear_moments(x, w):
 
 
 def packet_census(x, intensity, threshold: float = 0.1,
-                  merge_radius: float = 20.0, min_points: int = 3):
+                  merge_radius: float = 20.0):
     """Segment an intensity profile into packets above threshold * peak.
 
     Segments are runs of samples above the level; adjacent segments closer
@@ -231,7 +236,7 @@ def packet_census(x, intensity, threshold: float = 0.1,
     total = float(np.sum(w) * dx)
     packets = []
     for seg in merged:
-        if len(seg) < min_points:
+        if len(seg) < MIN_PACKET_POINTS:
             continue
         lo, hi = seg[0], seg[-1]
         xs, ws = x[lo:hi + 1], w[lo:hi + 1]
@@ -248,10 +253,10 @@ def packet_census(x, intensity, threshold: float = 0.1,
     return packets
 
 
-def _fit_velocities(z_values, censuses, n_fit, max_jump=40.0):
+def _fit_velocities(z_values, censuses, max_jump=40.0):
     """The last census, its packets given velocities from the trailing
-    ``n_fit`` censuses (one per snapshot at ``z_values``)."""
-    trailing = list(zip(z_values, censuses))[::-1][:n_fit]
+    ``VELOCITY_FIT_SNAPSHOTS`` censuses (one per snapshot at ``z_values``)."""
+    trailing = list(zip(z_values, censuses))[::-1][:VELOCITY_FIT_SNAPSHOTS]
     final = censuses[-1]
     for packet in final:
         zs, cs = [], []
@@ -283,7 +288,7 @@ class Observables:
 
 
 def observables_series(traj, bands: BandStructure, threshold: float = 0.1,
-                       merge_radius: float = None, n_fit: int = 5):
+                       merge_radius: float = None):
     """Observables for every snapshot of a BPM trajectory; each snapshot's
     packet census is taken once, the final one's with velocities.
 
@@ -297,7 +302,7 @@ def observables_series(traj, bands: BandStructure, threshold: float = 0.1,
     powers = intensities.sum(axis=1) * traj.grid.dx_um
     censuses = [packet_census(x, w, threshold, merge_radius)
                 for w in intensities]
-    _fit_velocities(traj.z, censuses, n_fit)
+    _fit_velocities(traj.z, censuses)
     out = []
     for i, z in enumerate(traj.z):
         # fractions of the launch power, so the remainder column also

@@ -92,16 +92,23 @@ def write_field_dump(path, components, x_min: float, x_max: float, z: float):
 
 
 def read_field_dump(path):
-    """Read a dump back as (components, meta dict)."""
+    """Read a dump back as (components, meta dict); a file whose length is
+    not what its header gives is a ShapeError."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ShapeError("field dump cut inside its header")
         magic, version, ncomp, _, n, x_min, x_max, z = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ShapeError("not a field dump (bad magic)")
         if version != VERSION:
             raise ShapeError(f"unsupported dump version {version}")
-        # (re, im) pairs are the bytes of little-endian complex128, read
-        # bit for bit: no arithmetic touches NaN payloads or signed zeros
-        comps = [np.frombuffer(fh.read(16 * n), dtype="<c16").astype(complex)
-                 for _ in range(ncomp)]
+        data = fh.read()
+    if len(data) != 16 * n * ncomp:
+        raise ShapeError(f"field dump holds {len(data)} data bytes; its "
+                         f"header gives {16 * n * ncomp}")
+    # (re, im) pairs are the bytes of little-endian complex128, read bit
+    # for bit: no arithmetic touches NaN payloads or signed zeros
+    comps = list(np.frombuffer(data, dtype="<c16").astype(complex)
+                 .reshape(ncomp, n))
     return comps, {"x_min": x_min, "x_max": x_max, "z": z, "n": n}

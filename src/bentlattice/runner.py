@@ -3,11 +3,11 @@
 Every run resolves its configuration first and executes deterministically
 (fixed steps, no RNG anywhere).  Once the summary passes its checks,
 ``run_scenario`` alone writes the tier's outputs, a canonical ``resolved.cfg``
-and a ``manifest.json`` with SHA-256 checksums; re-runs stay bit-identical.
-``multiprocessing`` is imported only by a sweep with ``jobs > 1`` over two
-or more points, whose pool has at most one worker per point, and scipy only
-inside the tiers that call it, so a fresh CLI process loads numpy and this
-package alone before the run starts.
+and a ``manifest.json`` with SHA-256 checksums; re-runs at one BLAS thread
+count stay bit-identical.  ``multiprocessing`` is imported only by a sweep
+with ``jobs > 1`` over two or more points, whose pool has at most one worker
+per point, and scipy only inside the tiers that call it, so a fresh CLI
+process loads numpy and this package alone before the run starts.
 """
 
 from __future__ import annotations

@@ -54,6 +54,8 @@ class Boundary(str, Enum):
 # sqrt(delta^2 + 4 sigma^2) must stay below this so that the squared
 # splitting delta^2 + 4 sigma^2 cos^2(qa) of the couplings is finite
 _MAX_SPLITTING = math.sqrt(np.finfo(float).max)
+# sites at each end of a hard-wall chain that edge_power_fraction watches
+EDGE_SITES = 2
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,13 @@ class LatticeTrajectory:
     def power(self):
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
-    def edge_power_fraction(self, n_edge: int = 2):
+    def edge_power_fraction(self):
         """Largest per-snapshot power share on the outermost sites.
 
         Hard-wall runs are only faithful to the bulk model while this stays
         small (packets must not reach the truncated couplings).
         """
-        edges = np.concatenate([np.abs(self.states[:, :n_edge]) ** 2,
-                                np.abs(self.states[:, -n_edge:]) ** 2], axis=1)
+        edges = np.abs(self.states[:, np.r_[:EDGE_SITES, -EDGE_SITES:0]]) ** 2
         return float(np.max(edges.sum(axis=1) / self.power()))
 
 

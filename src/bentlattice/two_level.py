@@ -259,7 +259,7 @@ def plan_run(state: TwoLevelState, profile: drv.DriveProfile,
     """
     if z_end is None:
         raise ParameterError("z_end is required")
-    if abs(state.norm - 1.0) > 1e-9:
+    if not abs(state.norm - 1.0) <= 1e-9:
         raise ParameterError("initial occupations must satisfy |r-|^2 + |r+|^2 = 1")
     if dz is None:
         dz = default_dz(profile)

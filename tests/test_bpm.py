@@ -1,4 +1,3 @@
-import inspect
 import re
 import warnings
 
@@ -8,13 +7,20 @@ import pytest
 from bentlattice import (DomainError, DriveProfile, GeometryError,
                          OpticsParams, ParameterError)
 from bentlattice import drive as drv
-from bentlattice.bpm import (AbsorberSpec, BpmGauge, ChannelShape,
-                             FieldGrid, TransverseGrid, _linear_phase,
-                             bpm_run, bragg_angle, build_index_profile,
+from bentlattice.bands import _potential_matrix
+from bentlattice.bpm import (AbsorberSpec, ChannelShape, FieldGrid,
+                             TransverseGrid, _linear_phase, bpm_run,
+                             bragg_angle, build_index_profile,
                              gaussian_tilted_input, gaussian_width_after,
                              sample_index_change)
-from bentlattice.diagnostics import (band_populations, bands_for_grid,
-                                     project_onto_band, second_moment)
+from bentlattice.config import scenario_from_text
+from bentlattice.diagnostics import (_window_bins, band_populations,
+                                     bands_for_grid, project_onto_band,
+                                     second_moment)
+from bentlattice.drive import CM_PER_UM
+from bentlattice.fieldio import read_field_dump
+from bentlattice.presets import preset_text
+from bentlattice.runner import run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -187,9 +193,10 @@ class TestUnitarity:
         assert np.max(np.abs(power / power[0] - 1.0)) < 1e-10
 
 
-def strang_steps(field, optics, profile, z_end, dz_cm, gauge, index_profile,
+def strang_steps(field, optics, profile, z_end, dz_cm, index_profile,
                  absorber):
-    """Plain Strang loop: every phase rebuilt each step, numpy FFTs.
+    """Plain bent-frame Strang loop: every phase rebuilt each step, numpy
+    FFTs.
 
     Yields each step's end z, envelope and absorber intake (power absorbed
     so far over the launch power).
@@ -206,30 +213,62 @@ def strang_steps(field, optics, profile, z_end, dz_cm, gauge, index_profile,
     absorbed = 0.0
     for i in range(n_steps):
         z = field.z + i * h
-        if gauge is BpmGauge.BENT_FRAME:
-            bend = drv.force(profile, z + h / 2) / a_cm
-            half = np.exp(-1j * (v_static + bend * grid.x_cm) * (h / 2))
-            kernel = np.exp(-1j * optics.diffraction_cm * k_cm**2 * h)
-        else:
-            half = np.exp(-1j * v_static * (h / 2))
-            kernel = np.exp(-1j * optics.diffraction_cm * (
-                k_cm**2 * h
-                - 2 * k_cm * drv.phase_integral(profile, z, z + h) / a_cm
-                + drv.phase_sq_integral(profile, z, z + h) / a_cm**2))
+        bend = drv.force(profile, z + h / 2) / a_cm
+        half = np.exp(-1j * (v_static + bend * grid.x_cm) * (h / 2))
+        kernel = np.exp(-1j * optics.diffraction_cm * k_cm**2 * h)
         env = half * np.fft.ifft(kernel * np.fft.fft(half * env))
         absorbed += np.sum(np.abs(env) ** 2 * (1 - mask**2)) * grid.dx_um
         env = env * mask
         yield field.z + (i + 1) * h, env, absorbed / p_launch
 
 
-def strang_reference(field, optics, profile, z_end, dz_cm, gauge, n_guides,
+def strang_reference(field, optics, profile, z_end, dz_cm, n_guides,
                      absorber):
     """Final envelope of ``strang_steps`` on a ``n_guides`` array."""
     index_profile = build_index_profile(optics, n_guides, field.grid)
     for _, env, _ in strang_steps(field, optics, profile, z_end, dz_cm,
-                                  gauge, index_profile, absorber):
+                                  index_profile, absorber):
         pass
     return env
+
+
+def cell_reference(launch, bands, profile, z_end, dz_cm):
+    """``miniband_transition`` at z_end of the infinite periodic array.
+
+    Each momentum q of the window's comb carries its own plane-wave vector
+    c_G over the reciprocal vectors G of ``bands``, launched from the
+    field's Fourier components.  In the shifted-k gauge the bend moves the
+    kinetic term to D (q + G - Phi(z)/a)^2, integrated exactly over each
+    step, while the cell potential V_{G-G'} stays static, so a Strang step
+    at the beam's dz is a diagonal phase between two factors exp(-i V h/2)
+    taken from one eigh of V.  The populations are read on the bands at q,
+    which holds where Phi(z_end) = 0, past a single cycle.
+    """
+    optics, grid = bands.optics, launch.grid
+    ks, bins, usable = _window_bins(grid, bands)
+    c = np.where(usable, np.fft.fft(launch.envelope)[bins]
+                 * np.exp(-1j * ks * grid.x_min_um * CM_PER_UM), 0.0)
+    lam, u = np.linalg.eigh(_potential_matrix(optics, bands.g_indices))
+    n_steps = int(round((z_end - launch.z) / dz_cm))
+    h = (z_end - launch.z) / n_steps
+    half, full = ((u * np.exp(-1j * lam * t)) @ u.T for t in (h / 2, h))
+    z = launch.z + np.arange(n_steps) * h
+    # exact integrals of Phi/a and (Phi/a)^2 over each step
+    phi = drv.phase_integral(profile, z, z + h) / optics.spacing_cm
+    phi_sq = drv.phase_sq_integral(profile, z, z + h) / optics.spacing_cm**2
+    d = optics.diffraction_cm
+    free = np.exp(-1j * d * ks**2 * h)
+    c = c @ half
+    for i in range(n_steps):
+        # the cross term exp(2 i D (q + G) int Phi/a) splits into a factor
+        # per q and one per G
+        c *= free * np.multiply.outer(
+            np.exp(2j * d * phi[i] * bands.q_values),
+            np.exp(2j * d * phi[i] * bands.g_values - 1j * d * phi_sq[i]))
+        c = c @ (full if i + 1 < n_steps else half)
+    amps = np.einsum("qgb,qg->qb", bands.coeffs, c)
+    p1, p2 = np.sum(np.abs(amps) ** 2, axis=0)
+    return p2 / (p1 + p2)
 
 
 class TestLinearPhase:
@@ -254,17 +293,10 @@ def _strang_drive(kind):
 
 class TestStrangStep:
     # 1021 is prime, so the factored phases fall back to one exp vector
-    @pytest.mark.parametrize(("gauge", "n_points", "drive_kind"), [
-        (BpmGauge.BENT_FRAME, 1024, "single_cycle"),
-        (BpmGauge.SHIFTED_K, 1024, "single_cycle"),
-        (BpmGauge.BENT_FRAME, 1021, "single_cycle"),
-        (BpmGauge.SHIFTED_K, 1021, "single_cycle"),
-        (BpmGauge.BENT_FRAME, 1024, "tabulated"),
-        (BpmGauge.SHIFTED_K, 1024, "tabulated")],
-        ids=["bent_frame", "shifted_k", "bent_frame-prime", "shifted_k-prime",
-             "bent_frame-tabulated", "shifted_k-tabulated"])
-    def test_matches_per_step_reference(self, optics, gauge, n_points,
-                                        drive_kind):
+    @pytest.mark.parametrize(("n_points", "drive_kind"), [
+        (1024, "single_cycle"), (1021, "single_cycle"), (1024, "tabulated")],
+        ids=["bent_frame", "bent_frame-prime", "bent_frame-tabulated"])
+    def test_matches_per_step_reference(self, optics, n_points, drive_kind):
         # after the single cycle the bent frame reuses its fused phases on
         # the straight axis
         grid = TransverseGrid.for_cells(optics, n_cells=40,
@@ -274,28 +306,16 @@ class TestStrangStep:
         drive = _strang_drive(drive_kind)
         absorber = AbsorberSpec()
         traj = bpm_run(field, optics, drive, 0.3, dz_cm=1e-3, n_guides=80,
-                       gauge=gauge, absorber=absorber, snapshot_every=50)
-        ref = strang_reference(field, optics, drive, 0.3, 1e-3, gauge, 80,
-                               absorber)
+                       absorber=absorber, snapshot_every=50)
+        ref = strang_reference(field, optics, drive, 0.3, 1e-3, 80, absorber)
         assert len(traj.z) == 7 and traj.absorbed[-1] > 0
         assert np.max(np.abs(traj.final.envelope - ref)) < 1e-12
         # snapshots inside the bend read the state through its linear phase
         index_profile = build_index_profile(optics, 80, grid)
         inner = [env for step, (_, env, _) in enumerate(strang_steps(
-            field, optics, drive, 0.3, 1e-3, gauge, index_profile, absorber),
+            field, optics, drive, 0.3, 1e-3, index_profile, absorber),
             start=1) if step % 50 == 0]
         assert np.max(np.abs(traj.fields[1:] - inner)) < 1e-12
-
-    def test_shifted_k_kernel_is_the_closed_form(self):
-        # the cross-check gauge builds each step's kernel from the plain
-        # formula, so only the bent frame's factor goes through
-        # _linear_phase
-        source = inspect.getsource(bpm_run)
-        assert "step_drive" not in source
-        assert "np.concatenate" not in source
-        bent_factor = source[source.index("def bent("):].split("\n\n")[0]
-        assert source.count("_linear_phase(") == 1
-        assert "_linear_phase(" in bent_factor
 
     def test_absorbed_equals_power_lost(self, optics):
         grid = TransverseGrid.for_cells(optics, n_cells=20, n_points=1024)
@@ -319,21 +339,6 @@ def purified_launch(optics):
     return grid, bands, project_onto_band(raw, bands, band=0)
 
 
-class TestDriveGaugeConsistency:
-    def test_band_populations_agree_between_gauges(self, optics,
-                                                   purified_launch):
-        grid, bands, field = purified_launch
-        drive = DriveProfile.single_cycle(45.0, 0.67)
-        pops = {}
-        for gauge in (BpmGauge.BENT_FRAME, BpmGauge.SHIFTED_K):
-            traj = bpm_run(field, optics, drive, 1.2, dz_cm=5e-4,
-                           n_guides=100, gauge=gauge)
-            pops[gauge] = band_populations(traj.final, bands, 2)
-        delta = np.max(np.abs(pops[BpmGauge.BENT_FRAME]
-                              - pops[BpmGauge.SHIFTED_K]))
-        assert delta < 1e-3
-
-
 class TestStepConvergence:
     def test_halving_dz_fixes_band_populations(self, optics, purified_launch):
         grid, bands, field = purified_launch
@@ -343,6 +348,60 @@ class TestStepConvergence:
             traj = bpm_run(field, optics, drive, 1.2, dz_cm=dz, n_guides=100)
             finals.append(band_populations(traj.final, bands, 2))
         assert np.max(np.abs(finals[0] - finals[1])) < 1e-4
+
+
+class TestCellReference:
+    # fig5b's drive amplitudes along the single-cycle transition curve:
+    # phi0 = 0.99, 1.98, 3.97, 5.95 and 7.93
+    AMPLITUDES_UM = (7.5, 15.0, 30.0, 45.0, 60.0)
+
+    def test_beam_matches_the_periodic_cell(self, tmp_path):
+        # fig5b's geometry to 0.7 cm, just past the drive cycle: the beam
+        # tier through the runner, against the cell reference launched from
+        # the beam's own launch field.  The two propagate the same physics
+        # by independent code, each with Strang at the same dz, so their gap
+        # may be no larger than the two runs' own dz/2 changes together.
+        def fig5b(*settings):
+            return scenario_from_text(preset_text("fig5b"), [
+                "numerics.z_end_cm=0.7", *settings])
+
+        base = fig5b()
+        optics, num = base.optics_params(), base.section("numerics")
+        grid = TransverseGrid.for_cells(optics, num["grid_cells"],
+                                        num["grid_points"])
+        bands = bands_for_grid(optics, grid,
+                               base.section("bands")["n_plane_waves"],
+                               n_bands=2)
+        failures, notes = [], []
+        for amplitude in self.AMPLITUDES_UM:
+            beam, cell = {}, {}
+            for dz in (5e-4, 2.5e-4):
+                scn = fig5b(f"numerics.dz_cm={dz}",
+                            f"drive.amplitude_um={amplitude}")
+                out = tmp_path / f"{amplitude}_{dz}"
+                summary = run_scenario(scn, out)["summary"]
+                beam[dz] = summary["miniband_transition"]
+                (launch,), meta = read_field_dump(out / "fig5b_field0000.bin")
+                cell[dz] = cell_reference(FieldGrid(launch, grid, meta["z"]),
+                                          bands, scn.drive_profile(), 0.7, dz)
+            gap = beam[5e-4] - cell[5e-4]
+            d_beam = beam[2.5e-4] - beam[5e-4]
+            d_cell = cell[2.5e-4] - cell[5e-4]
+            bound = abs(d_beam) + abs(d_cell)
+            notes.append(f"{amplitude:g} um: beam {beam[5e-4]:.7f} vs cell "
+                         f"{cell[5e-4]:.7f} (gap {gap:+.1e}, bound "
+                         f"{bound:.1e} from dz/2 changes {d_beam:+.1e} and "
+                         f"{d_cell:+.1e})")
+            if not abs(gap) <= bound:
+                failures.append(
+                    f"{amplitude:g} um beam-cell gap {abs(gap):.1e} exceeds "
+                    f"the runs' dz/2 changes {bound:.1e}, so beam and "
+                    "cell differ by more than their step error explains")
+        ok = not failures
+        print("[beam vs cell] " + ("PASS" if ok else "FAIL") + ": "
+              + "; ".join(notes)
+              + ("" if ok else "; FAILING: " + " | ".join(failures)))
+        assert ok, failures
 
 
 class TestAbsorber:
@@ -376,8 +435,8 @@ class TestAbsorber:
                         dz_cm=1e-3, index_profile=uniform)
         # the error names the first step whose intake passes 1e-2
         z_ref = next(z for z, _, intake in strang_steps(
-            field, optics, DriveProfile.straight(), 6.0, 1e-3,
-            BpmGauge.BENT_FRAME, uniform, AbsorberSpec()) if intake > 1e-2)
+            field, optics, DriveProfile.straight(), 6.0, 1e-3, uniform,
+            AbsorberSpec()) if intake > 1e-2)
         z_flagged = re.search(r"z = (\S+) cm", str(info.value))[1]
         assert z_flagged == f"{z_ref:.6g}"
 

@@ -142,3 +142,18 @@ class TestFieldDump:
         path.write_bytes(b"NOPE" + bytes(60))
         with pytest.raises(ShapeError):
             read_field_dump(path)
+
+    # a dump of 8 samples is a 36-byte header and 128 data bytes; cut it
+    # inside the header, inside the first sample and one sample short, or
+    # give it one sample more than the header says
+    @pytest.mark.parametrize("size", [20, 36 + 9, 36 + 7 * 16, 36 + 9 * 16],
+                             ids=["header", "partial_sample", "one_short",
+                                  "one_long"])
+    def test_dump_length_must_match_its_header(self, tmp_path, size):
+        path = tmp_path / "field.bin"
+        write_field_dump(path, [np.arange(8.0) + 1j], -1.0, 1.0, 0.5)
+        data = path.read_bytes()
+        assert len(data) == 36 + 8 * 16
+        path.write_bytes((data + data[-16:])[:size])
+        with pytest.raises(ShapeError):
+            read_field_dump(path)

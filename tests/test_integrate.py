@@ -9,8 +9,8 @@ import pytest
 
 import bentlattice
 from bentlattice import DriveProfile, ParameterError
-from bentlattice.bpm import (BpmGauge, OpticsParams, TransverseGrid,
-                             bpm_run, gaussian_tilted_input)
+from bentlattice.bpm import (OpticsParams, TransverseGrid, bpm_run,
+                             gaussian_tilted_input)
 from bentlattice.dirac import XiGrid, dirac_evolve, gaussian_spinor_packet
 from bentlattice.integrate import (BLOCK_STEPS, TREE_STEPS, default_dz,
                                    rk4_evolve, snapshot_steps, step_grid)
@@ -185,16 +185,12 @@ class TestStrangSnapshots:
             np.testing.assert_array_equal(traj.psi1, every.psi1[steps])
             np.testing.assert_array_equal(traj.psi2, every.psi2[steps])
 
-    @pytest.mark.parametrize(("gauge", "n"), [
-        pytest.param(gauge, n, id=f"{n}{suffix}")
-        for gauge, suffix in ((BpmGauge.BENT_FRAME, ""),
-                              (BpmGauge.SHIFTED_K, "-shifted_k"))
-        for n in (1, 7, 50)])
-    def test_bpm_states_do_not_depend_on_the_stride(self, gauge, n):
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_bpm_states_do_not_depend_on_the_stride(self, n):
         drive = DriveProfile.from_phase_amplitude("single_cycle", 1.0, 0.1)
         # coarse steps take up to a quarter of the power into the absorber
         runs = {stride: _bpm(drive, dz=0.1 / n, snapshot_every=stride,
-                             gauge=gauge, intake_warn=1.0, intake_error=1.0)
+                             intake_warn=1.0, intake_error=1.0)
                 for stride in (1, 7, None)}
         every = runs[1]
         assert len(every.z) == n + 1 and every.absorbed[-1] > 0
@@ -282,6 +278,25 @@ def test_source_holds_one_x_space_multiply_per_bpm_step():
                   and ast.unparse(node.target) == "env"]
     assert len(multiplies) == 1
     assert "static_half" not in ast.unparse(loop)
+
+
+def test_source_holds_one_bpm_stepper():
+    # the beam tier steps in the bent frame alone: bpm.py holds one step
+    # loop, no function of it takes a gauge, and the package exports no
+    # second beam gauge
+    text = (SRC / "bpm.py").read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    loops = [ast.unparse(node.iter) for node in ast.walk(tree)
+             if isinstance(node, ast.For)]
+    assert [it for it in loops if "n_steps" in it] == ["range(n_steps)"]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.While)]
+    arguments = [arg.arg for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 for arg in node.args.args + node.args.kwonlyargs]
+    assert "gauge" not in arguments
+    assert not re.search(r"SHIFTED_K|shifted_k|BpmGauge", text)
+    assert not hasattr(bentlattice, "BpmGauge")
+    assert "BpmGauge" not in _source_text()
 
 
 def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():

@@ -230,6 +230,17 @@ class TestEvolve:
         with pytest.raises(ParameterError):
             evolve(bad, resonant_drive, params, z_end=1.0)
 
+    @pytest.mark.parametrize(("r_minus", "r_plus"), [
+        (np.nan, 0.0), (1.0, complex(0.0, np.nan)), (np.inf, 0.0)],
+        ids=["nan", "nan_upper", "inf"])
+    def test_non_finite_input_rejected(self, params, q_quarter,
+                                       resonant_drive, r_minus, r_plus):
+        # a NaN norm is no normalised state; it must not reach the stepper
+        # and come back as a norm drift blamed on the step size
+        bad = TwoLevelState(complex(r_minus), complex(r_plus), 0.0, q_quarter)
+        with pytest.raises(ParameterError, match="initial occupations"):
+            evolve(bad, resonant_drive, params, z_end=1.0)
+
     def test_fractional_cycles_rejected(self, params, q_quarter,
                                         resonant_drive):
         with pytest.raises(ParameterError):
