@@ -150,7 +150,9 @@ def plane_wave_bands(optics: OpticsParams, n_plane_waves: int = 161,
     a_cm = optics.spacing_cm
     g = g_indices * (np.pi / a_cm)
     vmat = _potential_matrix(optics, g_indices)
-    kinetic = optics.diffraction_cm * (q_values[:, None] + g) ** 2
+    # an overflow here (huge diffraction constant) is the typed error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinetic = optics.diffraction_cm * (q_values[:, None] + g) ** 2
     if not (np.all(np.isfinite(vmat)) and np.all(np.isfinite(kinetic))):
         raise ParameterError("cell operator is not finite; check the optics "
                              "index changes, wavelength and q values")

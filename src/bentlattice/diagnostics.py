@@ -25,12 +25,15 @@ from .drive import CM_PER_UM
 from .errors import ParameterError, ShapeError
 from .tight_binding import (Branch, Gauge, LatticeTrajectory,
                             SuperlatticeParams, _branch_vector,
-                            sublattice_momenta, to_sublattice_pairs)
+                            _gauge_factor, sublattice_momenta,
+                            to_sublattice_pairs)
 
 # fewest samples above the census level that make a packet
 MIN_PACKET_POINTS = 3
 # trailing snapshots a packet velocity is fitted over
 VELOCITY_FIT_SNAPSHOTS = 5
+# largest centre shift (um) between snapshots that a fit follows a packet by
+VELOCITY_FIT_MAX_JUMP_UM = 40.0
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +144,9 @@ def lattice_band_amplitudes(source, params: SuperlatticeParams,
     amplitudes = (source.states if isinstance(source, LatticeTrajectory)
                   else source.amplitudes)
     if source.gauge is Gauge.BARE:
-        # gauge_transform of each snapshot (a state is one):
-        # a_l = c_l exp(+i Phi(z) l)
-        phi = drv.phase(profile, source.z)
-        amplitudes = amplitudes * np.exp(1j * np.multiply.outer(phi,
-                                                                params.sites))
+        # gauge_transform of each snapshot (a state is one)
+        amplitudes = amplitudes * _gauge_factor(profile, source.z,
+                                                params.n_sites, Gauge.GAUGED)
     qa_values = sublattice_momenta(params)
     s1, s2 = np.moveaxis(to_sublattice_pairs(amplitudes, params), -1, 0)
     vm = _branch_vector(qa_values, Branch.MINUS, params)
@@ -253,7 +254,7 @@ def packet_census(x, intensity, threshold: float = 0.1,
     return packets
 
 
-def _fit_velocities(z_values, censuses, max_jump=40.0):
+def _fit_velocities(z_values, censuses):
     """The last census, its packets given velocities from the trailing
     ``VELOCITY_FIT_SNAPSHOTS`` censuses (one per snapshot at ``z_values``)."""
     trailing = list(zip(z_values, censuses))[::-1][:VELOCITY_FIT_SNAPSHOTS]
@@ -265,7 +266,7 @@ def _fit_velocities(z_values, censuses, max_jump=40.0):
             if not census:
                 continue
             nearest = min(census, key=lambda p: abs(p.center - ref))
-            if abs(nearest.center - ref) > max_jump:
+            if abs(nearest.center - ref) > VELOCITY_FIT_MAX_JUMP_UM:
                 continue
             zs.append(zi)
             cs.append(nearest.center)

@@ -29,6 +29,9 @@ from .integrate import (default_dz, half_step_blocks, snapshot_steps,
                         step_grid)
 from .tight_binding import Branch, Gauge, ModeVector, SuperlatticeParams
 
+# share of the grid points at each end that the packet-edge check watches
+EDGE_FRACTION = 0.02
+
 
 @dataclass(frozen=True)
 class XiGrid:
@@ -144,11 +147,13 @@ def gaussian_spinor_packet(grid: XiGrid, k0: float, width_xi: float,
     # the inverse transform lives on 0-based coordinates; shift so the
     # packet lands at center_xi of the (possibly negative) grid axis
     offset = center_xi - grid.xi_min
-    envelope = np.exp(-((k - k0) * width_xi / 2.0) ** 2
-                      - 1j * (k - k0) * offset)
-    spinors = branch_spinor(k, branch, params)
-    psi1 = np.fft.ifft(envelope * spinors[0])
-    psi2 = np.fft.ifft(envelope * spinors[1])
+    # overflow here (grid momenta near the float limit) fails the norm check
+    with np.errstate(over="ignore", invalid="ignore"):
+        envelope = np.exp(-((k - k0) * width_xi / 2.0) ** 2
+                          - 1j * (k - k0) * offset)
+        spinors = branch_spinor(k, branch, params)
+        psi1 = np.fft.ifft(envelope * spinors[0])
+        psi2 = np.fft.ifft(envelope * spinors[1])
     field = SpinorField(psi1.astype(complex), psi2.astype(complex), grid, 0.0)
     norm = field.norm
     if not 0 < norm < np.inf:
@@ -180,9 +185,9 @@ def band_weights(field: SpinorField, params: SuperlatticeParams):
 _ALPHA_BASIS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
 
-def _edge_density_fraction(field: SpinorField, edge_fraction=0.02):
+def _edge_density_fraction(field: SpinorField):
     dens = field.density
-    n_edge = max(2, int(field.grid.n * edge_fraction))
+    n_edge = max(2, int(field.grid.n * EDGE_FRACTION))
     edge = max(dens[:n_edge].max(), dens[-n_edge:].max())
     peak = dens.max()
     if not np.isfinite(peak):

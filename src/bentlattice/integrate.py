@@ -14,7 +14,8 @@ pair (p, s), and reads snapshots off each block's product tree.  It serves
 the two-level tier and every periodic lattice run, where each Bloch
 momentum is its own sublattice pair.  ``rk4_evolve`` steps a state vector
 one RK4 step at a time and serves only the hard-wall lattice runs, which
-do not split by momentum.
+do not split by momentum; they step the gauged equations, bare-gauge runs
+included, whose snapshots are the gauge image of the gauged run.
 These two and the Strang loops ``dirac.dirac_evolve`` and ``bpm.bpm_run``
 share one contract: the start z0, the step grid ``(n, h)``, the sorted
 ``snapshot_steps`` (0 and n included) and checks at the block ends of
@@ -236,7 +237,8 @@ def rk4_evolve(rhs, samples, y0, z0, n, h, steps, monitor=None):
     The drive enters only through ``samples(zs)``, the sequence of drive
     values ``d`` at the half-step samples of a block (``half_step_blocks``).
     ``monitor(i, y)`` sees the state y after each block's last step i, as
-    in ``_advance``.
+    in ``_advance``.  An overflowing state turns NaN without numpy
+    warnings, as there; the monitor's power check reports it.
     """
     out = np.empty((len(steps),) + np.shape(y0), dtype=complex)
     out[0] = y0
@@ -245,18 +247,19 @@ def rk4_evolve(rhs, samples, y0, z0, n, h, steps, monitor=None):
     targets = steps.tolist()
     k = 1
     h2, h6 = 0.5 * h, h / 6.0
-    for i0, i1, zs in half_step_blocks(z0, n, h):
-        d = samples(zs)
-        for i in range(i0, i1):
-            j = 2 * (i - i0)
-            k1 = rhs(d[j], y)
-            k2 = rhs(d[j + 1], y + h2 * k1)
-            k3 = rhs(d[j + 1], y + h2 * k2)
-            k4 = rhs(d[j + 2], y + h * k3)
-            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if i + 1 == targets[k]:
-                out[k] = y
-                k += 1
-        if monitor is not None:
-            monitor(i1, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, i1, zs in half_step_blocks(z0, n, h):
+            d = samples(zs)
+            for i in range(i0, i1):
+                j = 2 * (i - i0)
+                k1 = rhs(d[j], y)
+                k2 = rhs(d[j + 1], y + h2 * k1)
+                k3 = rhs(d[j + 1], y + h2 * k2)
+                k4 = rhs(d[j + 2], y + h * k3)
+                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if i + 1 == targets[k]:
+                    out[k] = y
+                    k += 1
+            if monitor is not None:
+                monitor(i1, y)
     return out

@@ -4,20 +4,23 @@ Site amplitudes live on a chain indexed symmetrically about 0 (l from -n/2
 to n/2 - 1); even sites form sublattice A (high-index channels, on-site
 detuning +delta), odd sites sublattice B (-delta).  The bare gauge carries
 the drive as the linear potential F(z) l; the gauged form trades it for
-complex hopping phases exp(-+ i Phi(z)), which stays bounded for strong
-drives and admits periodic boundaries.
+complex hopping phases exp(-+ i Phi(z)).  The map c_l = a_l exp(-i Phi l),
+``_gauge_factor``, takes one onto the other exactly, on open chains too, so
+only the gauged equations are stepped: ``evolve_bare`` maps its input into
+the gauged frame and every snapshot back.
 
 The gauged equations are invariant under two-site translation, so on a
 periodic chain each Bloch momentum q evolves as its own sublattice pair
 (s1, s2), the two-level reduction, exact per q; one FFT over the cells
-maps the sites to these pairs.  Periodic runs (gauged under any drive,
-bare on a straight axis, where Phi = 0) step the n/2 momenta as one batch
-on the composed fourth-order Magnus step maps of ``integrate._advance``,
-unitary per step; a step too coarse for the generator fails the power
-check as NaN.  Hard-wall runs break the translation symmetry and step the
-site amplitudes with RK4, ``integrate.rk4_evolve``.  Both boundaries run
-through one ``_evolve``: one step grid, one power monitor at the stepper's
-block ends, one final check over every snapshot.
+maps the sites to these pairs.  Periodic runs step the n/2 momenta as one
+batch on the composed fourth-order Magnus step maps of
+``integrate._advance``, unitary per step; a step too coarse for the
+generator fails the power check as NaN.  Hard-wall runs break the
+translation symmetry and step the site amplitudes with RK4,
+``integrate.rk4_evolve``, under the one hard-wall right-hand side
+``_gauged_rhs``.  Both boundaries run through one ``_evolve``: one step
+grid, one power monitor at the stepper's block ends, one final check over
+every snapshot.
 """
 
 from __future__ import annotations
@@ -247,13 +250,17 @@ def gauge_transform(state: ModeVector, profile: drv.DriveProfile,
     """Per-site phase map c_l = a_l exp(-i Phi(z) l) between the two gauges."""
     if state.gauge == to_gauge:
         return ModeVector(state.amplitudes.copy(), state.gauge, state.z)
-    phi = drv.phase(profile, state.z)
-    l = np.arange(len(state.amplitudes)) - len(state.amplitudes) // 2
-    if to_gauge is Gauge.BARE:      # c from a
-        factor = np.exp(-1j * phi * l)
-    else:                           # a from c
-        factor = np.exp(+1j * phi * l)
+    factor = _gauge_factor(profile, state.z, len(state.amplitudes), to_gauge)
     return ModeVector(state.amplitudes * factor, to_gauge, state.z)
+
+
+def _gauge_factor(profile: drv.DriveProfile, z, n_sites, to_gauge: Gauge):
+    """exp(-+ i Phi(z) l) over the sites l of an n_sites chain, shaped
+    np.shape(z) + (n_sites,): the factor that carries amplitudes at z into
+    ``to_gauge`` (minus into the bare gauge, plus into the gauged one)."""
+    sign = -1j if to_gauge is Gauge.BARE else 1j
+    l = np.arange(n_sites) - n_sites // 2
+    return np.exp(sign * np.multiply.outer(drv.phase(profile, z), l))
 
 
 def sublattice_momenta(params: SuperlatticeParams):
@@ -299,15 +306,14 @@ def _check_drift(power, z, p0, tol, dz):
 
 
 def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
-    """Run either gauge on either boundary: plan the step grid and the
+    """Run a gauged state on either boundary: plan the step grid and the
     snapshots once, step, and check the power within 1e-6 at every block
     end of the stepper and at every snapshot.
 
     A periodic chain steps its n/2 sublattice pairs under
     G_q(z) = [[delta, -2 sigma cos(qa - Phi)], [-2 sigma cos(qa - Phi),
     -delta]] as one batch of ``_advance`` (power by Parseval); hard walls
-    step the site amplitudes with ``rk4_evolve`` under the right-hand side
-    of ``state.gauge``.
+    step the site amplitudes with ``rk4_evolve`` under ``_gauged_rhs``.
     """
     if dz is None:
         dz = default_dz(profile)
@@ -333,8 +339,7 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
         ys = _advance(to_sublattice_pairs(y0, params), coefficients,
                       state.z, n, h, steps, monitor)
     else:
-        samples, rhs = (_bare_rhs if state.gauge is Gauge.BARE
-                        else _gauged_rhs)(params, profile)
+        samples, rhs = _gauged_rhs(params, profile)
         ys = rk4_evolve(rhs, samples, y0, state.z, n, h, steps, monitor)
     zs = state.z + steps * h
     _check_drift(np.sum(np.abs(ys.reshape(len(steps), -1)) ** 2, axis=1), zs,
@@ -346,44 +351,19 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
     return LatticeTrajectory(zs, ys, state.gauge, params)
 
 
-def _neighbors(n):
-    """``neighbors(c) -> (up, dn)`` with up_l = c_{l+1}, dn_l = c_{l-1},
-    written into two arrays reused across calls; the hard walls leave the
-    outermost entries at zero."""
-    up = np.zeros(n, dtype=complex)
-    dn = np.zeros(n, dtype=complex)
-
-    def neighbors(c):
-        up[:-1] = c[1:]
-        dn[1:] = c[:-1]
-        return up, dn
-
-    return neighbors
-
-
-def _bare_rhs(params, profile):
-    """Force samples on the half-step grid and ``rhs(force, c)``."""
-    sigma = params.sigma_cm
-    onsite = params.sublattice_sign * params.delta_cm
-    l = params.sites.astype(float)
-    neighbors = _neighbors(params.n_sites)
-
-    def rhs(f, c):
-        up, dn = neighbors(c)
-        return -1j * (-sigma * (up + dn) + onsite * c + f * l * c)
-
-    return (lambda zs: drv.force(profile, zs).tolist()), rhs
-
-
 def _gauged_rhs(params, profile):
     """Hopping-phase samples exp(-i Phi) on the half-step grid and
-    ``rhs(ph, a)``."""
+    ``rhs(ph, a)``.  The neighbours up_l = a_{l+1}, dn_l = a_{l-1} go into
+    two arrays reused across calls; the hard walls leave the outermost
+    entries at zero."""
     sigma = params.sigma_cm
     onsite = params.sublattice_sign * params.delta_cm
-    neighbors = _neighbors(params.n_sites)
+    up = np.zeros(params.n_sites, dtype=complex)
+    dn = np.zeros(params.n_sites, dtype=complex)
 
     def rhs(ph, a):
-        up, dn = neighbors(a)
+        up[:-1] = a[1:]
+        dn[1:] = a[:-1]
         return -1j * (-sigma * ph * up - sigma * ph.conjugate() * dn
                       + onsite * a)
 
@@ -394,11 +374,13 @@ def evolve_bare(state: ModeVector, params: SuperlatticeParams,
                 profile: drv.DriveProfile, z_end: float, dz: float = None,
                 snapshot_every: int = None,
                 boundary=Boundary.HARD_WALL) -> LatticeTrajectory:
-    """Integrate the bare-gauge coupled-mode equations up to z_end.
+    """Bare-gauge run up to z_end, as the gauge image of the gauged run.
 
-    The drive enters as the site-linear term F(z) l c_l, which grows with
-    the chain length; strong drives on long chains need the gauged form
-    instead.  Periodic boundaries are only consistent here for F = 0.
+    The bare equations, with the drive as the site-linear term F(z) l c_l,
+    are the gauged ones under c_l = a_l exp(-i Phi(z) l), on open chains
+    too, so the input is mapped into the gauged frame, stepped there, and
+    every snapshot mapped back.  Periodic boundaries are only consistent
+    here for F = 0.
     """
     if state.gauge is not Gauge.BARE:
         raise ParameterError("evolve_bare needs a bare-gauge state")
@@ -406,8 +388,11 @@ def evolve_bare(state: ModeVector, params: SuperlatticeParams,
             profile.kind is not drv.DriveKind.STRAIGHT:
         raise ParameterError("periodic boundaries require a straight axis "
                              "in the bare gauge")
-    return _evolve(state, params, profile, z_end, dz, snapshot_every,
-                   boundary)
+    traj = _evolve(gauge_transform(state, profile, Gauge.GAUGED), params,
+                   profile, z_end, dz, snapshot_every, boundary)
+    traj.states *= _gauge_factor(profile, traj.z, params.n_sites, Gauge.BARE)
+    traj.gauge = Gauge.BARE
+    return traj
 
 
 def evolve_gauged(state: ModeVector, params: SuperlatticeParams,

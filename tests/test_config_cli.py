@@ -570,6 +570,18 @@ class TestCli:
           "--set", "input.packet=gaussian", "--set", "input.width_sites=8",
           "--set", "input.center_site=100", "--set",
           "numerics.boundary=hard_wall"], 3, "off the 128-site chain"),
+        # inputs that overflow inside a stepper or a set-up line end in the
+        # typed check that follows, with no numpy warning before it
+        (["run", "--preset", "fig3b", "--set", "scenario.tier=tight_binding",
+          "--set", "lattice.n_sites=128", "--set",
+          "numerics.boundary=hard_wall", "--set", "lattice.sigma_cm=1e150"],
+         3, "power drifted by nan"),
+        (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
+          "--set", "input.xi_span=1e-300"], 3, "leaves the packet no weight"),
+        (["bands", "--preset", "fig4_bands", "--set", "optics.lambda_cm=1e300"],
+         3, "cell operator is not finite"),
+        (["run", "--preset", "fig5b", "--set", "optics.lambda_cm=1e300"],
+         3, "cell operator is not finite"),
     ], ids=["n_bands_negative", "n_bands_zero", "n_q_zero", "n_q_one",
             "bpm_aliased_tilt", "mode_q_index",
             "drive_length_cm", "step_ceiling", "sigma_overflow",
@@ -585,12 +597,33 @@ class TestCli:
             "bpm_negative_absorber", "unread_grid_axis",
             "unread_optics_axis", "two_level_unread_n_sites_axis",
             "dirac_negative_width", "dirac_underflowing_width",
-            "lattice_out_of_memory", "packet_off_chain"])
+            "lattice_out_of_memory", "packet_off_chain",
+            "hard_wall_sigma_overflow", "dirac_overflowing_momenta",
+            "bands_overflowing_kinetic", "bpm_overflowing_kinetic"])
     def test_input_boundary_exit_code(self, tmp_path, capsys, argv, code,
                                       message):
-        with np.errstate(all="ignore"):
-            assert cli_main([*argv, "--out", str(tmp_path)]) == code
+        assert cli_main([*argv, "--out", str(tmp_path)]) == code
         assert message in capsys.readouterr().err
+
+    def test_hard_wall_bare_run_is_the_gauged_run(self, tmp_path, capsys):
+        # a bare hard-wall run steps the gauged equation and maps it back,
+        # so even at fig3b's strong drive, where the bare term F(z) l c_l
+        # reaches 2.4e3 /cm at the chain ends, it passes with the gauged
+        # run's summary
+        argv = ["run", "--preset", "fig3b", "--set",
+                "scenario.tier=tight_binding", "--set", "lattice.n_sites=128",
+                "--set", "numerics.boundary=hard_wall", "--set",
+                "input.packet=gaussian", "--set", "input.width_sites=8"]
+        summaries = {}
+        for gauge in ("bare", "gauged"):
+            out = tmp_path / gauge
+            assert cli_main([*argv, "--set", f"numerics.gauge={gauge}",
+                             "--out", str(out)]) == 0
+            summaries[gauge] = json.loads(
+                (out / "manifest.json").read_text())["summary"]
+        bare, gauged = summaries["bare"], summaries["gauged"]
+        for key in ("P_final", "power_drift", "edge_power_fraction"):
+            assert bare[key] == pytest.approx(gauged[key], abs=1e-13), key
 
     @pytest.mark.parametrize("overrides, field", [
         (["sweep.values=16.7,16.2"], "sweep.values"),

@@ -321,15 +321,14 @@ def test_source_holds_one_two_level_stepper_and_sampled_lattice_drive():
              if isinstance(node, (ast.For, ast.comprehension))]
     assert [it for it in loops if it.startswith("range(")] == [
         "range(0, len(runs), TREE_RUNS)"]
-    # the hard-wall lattice right-hand sides read drive samples taken once
-    # on the half-step grid and fill preallocated neighbours
+    # one hard-wall lattice right-hand side, the gauged one: it reads drive
+    # samples taken once on the half-step grid and fills preallocated
+    # neighbours, and no lattice run reads the force
     text = (SRC / "tight_binding.py").read_text(encoding="utf-8")
-    rhs = [ast.unparse(node) for node in ast.walk(ast.parse(text))
-           if isinstance(node, ast.FunctionDef) and node.name == "rhs"]
-    assert len(rhs) == 2
-    for body in rhs:
-        assert not re.search(r"drv\.(phase|force)\(|np\.roll\(", body)
-    assert "np.roll(" not in text
+    rhs, = [ast.unparse(node) for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and node.name == "rhs"]
+    assert not re.search(r"drv\.(phase|force)\(|np\.roll\(", rhs)
+    assert "np.roll(" not in text and "drv.force(" not in text
     # both lattice boundaries run one plan: the RK4 stepper takes the
     # stepper contract of _advance, and only tight_binding.py lays out a
     # lattice step grid
@@ -385,7 +384,8 @@ def test_source_holds_one_float_format_and_one_check_cadence():
 def test_source_holds_one_entry_per_observable():
     # each diagnostics observable has one entry: the continuum projection
     # is one stacked product over momenta, the census squares each
-    # snapshot once, and the bare-gauge lattice transform is written once
+    # snapshot once, and the lattice gauge phase exp(-+ i Phi l) is written
+    # once, in tight_binding, which diagnostics calls
     text = (SRC / "diagnostics.py").read_text(encoding="utf-8")
     tree = ast.parse(text)
     functions = {node.name: node for node in ast.walk(tree)
@@ -394,8 +394,10 @@ def test_source_holds_one_entry_per_observable():
                 if isinstance(node, (ast.For, ast.comprehension))]
     series = ast.get_source_segment(text, functions["observables_series"])
     assert series.count("np.abs(traj.fields)") == 1
-    assert text.count("np.multiply.outer(phi") == 1
     source = _source_text()
+    assert "multiply.outer(" not in text and "drv.phase(" not in text
+    assert len(re.findall(r"multiply\.outer\(drv\.phase\(", source)) == 1
+    assert len(re.findall(r"^def _gauge_factor\(", source, re.M)) == 1
     for removed in ("track_packets", "miniband_transition_fraction",
                     "q_resolved", "_band_amplitudes", "packet_count",
                     "q_from_zone_edge_k", "quasi_energy_for_drive"):

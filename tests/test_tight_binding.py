@@ -341,8 +341,9 @@ def magnus_reference(state, params, profile, z_end, dz):
 class TestHalfStepSamples:
     @pytest.mark.parametrize("gauge, boundary, evolver", [
         (Gauge.BARE, Boundary.HARD_WALL, evolve_bare),
+        (Gauge.GAUGED, Boundary.HARD_WALL, evolve_gauged),
         (Gauge.GAUGED, Boundary.PERIODIC, evolve_gauged),
-    ], ids=["bare_hard_wall", "gauged_periodic"])
+    ], ids=["bare_hard_wall", "gauged_hard_wall", "gauged_periodic"])
     def test_matches_per_stage_reference(self, gauge, boundary, evolver):
         # 1400 steps span six sample blocks, the last one short
         params = SuperlatticeParams(2.0, 1.817, n_sites=32)
@@ -351,10 +352,16 @@ class TestHalfStepSamples:
                                       params, gauge=gauge)
         traj = evolver(state, params, drive, 0.7, dz=5e-4,
                        snapshot_every=None, boundary=boundary)
-        # hard walls step RK4 on the sites, periodic chains Magnus per q
-        ref = (per_stage_reference(state, params, drive, 0.7, 5e-4, boundary)
+        # hard walls step RK4 on the gauged sites, periodic chains Magnus
+        # per q; Phi(0) = 0, so the gauged input has the same amplitudes
+        gauged = ModeVector(state.amplitudes, Gauge.GAUGED, state.z)
+        ref = (per_stage_reference(gauged, params, drive, 0.7, 5e-4, boundary)
                if boundary is Boundary.HARD_WALL
-               else magnus_reference(state, params, drive, 0.7, 5e-4))
+               else magnus_reference(gauged, params, drive, 0.7, 5e-4))
+        if gauge is Gauge.BARE:
+            # a bare run is the gauge image c_l = a_l exp(-i Phi l)
+            ref = ref * np.exp(-1j * drv.phase(drive, traj.z[-1])
+                               * params.sites)
         assert len(traj.z) == 2
         assert np.max(np.abs(traj.final.amplitudes - ref)) < 1e-13
 
@@ -461,21 +468,22 @@ class TestTranslationSymmetry:
 class TestGaugeEquivalence:
     def test_bare_matches_gauged_sitewise(self, params):
         # smooth drive, and a step small enough for the stiff site-linear
-        # bare term; the two integrations then agree site by site
+        # bare term; the plain RK4 loop on the bare equation, F(z) l c_l
+        # and all, then agrees with the gauged run site by site
         drive = DriveProfile.from_phase_amplitude("sinusoidal", 0.4, 2.8556)
         big = SuperlatticeParams(2.0, 1.817, n_sites=64)
         q = big.q_from_qa(np.pi / 4)
         packet_g = gaussian_packet_state(q, 8.0, big, gauge=Gauge.GAUGED)
         packet_b = packet_g.amplitudes.copy()  # Phi(0) = 0: same amplitudes
-        from bentlattice.tight_binding import ModeVector
         bare0 = ModeVector(packet_b, Gauge.BARE, 0.0)
         z_end = 1.0
-        tb_bare = evolve_bare(bare0, big, drive, z_end, dz=2.8556 / 16000,
-                              boundary=Boundary.HARD_WALL)
+        c_end = per_stage_reference(bare0, big, drive, z_end,
+                                    2.8556 / 16000, Boundary.HARD_WALL)
         tb_gauged = evolve_gauged(packet_g, big, drive, z_end,
                                   dz=2.8556 / 16000,
                                   boundary=Boundary.HARD_WALL)
-        mapped = gauge_transform(tb_bare.final, drive, Gauge.GAUGED)
+        mapped = gauge_transform(ModeVector(c_end, Gauge.BARE, z_end), drive,
+                                 Gauge.GAUGED)
         assert np.max(np.abs(mapped.amplitudes
                              - tb_gauged.final.amplitudes)) < 1e-8
 
@@ -491,10 +499,9 @@ class TestGaugeEquivalence:
                                                      stride):
         # the bare and gauged hard-wall equations are one model in two
         # gauges, so gauge_transform carries every bare snapshot onto the
-        # gauged run up to the two RK4 errors; the bare site-linear term
-        # F l reaches 2 pi phi0 / period * n_sites / 2 = 200 /cm, and the
-        # worst case measured over the corners of these ranges is 1.3e-7,
-        # in the amplitudes and in the upper-branch fraction
+        # gauged run, and the projection maps bare snapshots alike; the bare
+        # site-linear term F l reaches 2 pi phi0 / period * n_sites / 2 =
+        # 200 /cm
         params = SuperlatticeParams(2.0, 1.817, n_sites=n_sites)
         drive = DriveProfile.from_phase_amplitude("sinusoidal", phi0, period)
         packet = gaussian_packet_state(params.q_from_qa(qa), width, params,
@@ -514,26 +521,24 @@ class TestGaugeEquivalence:
         p_gauged = lattice_transition_probability(gauged, params)
         assert np.max(np.abs(p_bare - p_gauged)) < 1e-6
 
-    def test_single_cycle_edge_jump_is_first_order(self, params):
-        # the single-cycle force jumps at the cycle edge, so a fixed-step
-        # integration of the bare form carries one O(dz) sample there; the
-        # gauged form sees only the continuous phase and is unaffected
+    def test_single_cycle_bare_run_is_the_gauge_image(self, params):
+        # the single-cycle force jumps at the cycle edge; a bare run steps
+        # the gauged equation, which sees only the continuous phase, so
+        # every bare snapshot is c_l = a_l exp(-i Phi(z) l) of the gauged
+        # run at either step
         drive = DriveProfile.from_phase_amplitude("single_cycle", 0.4, 0.6676)
         big = SuperlatticeParams(2.0, 1.817, n_sites=64)
         q = big.q_from_qa(np.pi / 4)
         packet_g = gaussian_packet_state(q, 8.0, big, gauge=Gauge.GAUGED)
-        from bentlattice.tight_binding import ModeVector
         bare0 = ModeVector(packet_g.amplitudes.copy(), Gauge.BARE, 0.0)
-        errs = []
         for dz in (0.6676 / 2000, 0.6676 / 8000):
-            tb_bare = evolve_bare(bare0, big, drive, 0.6676, dz=dz,
-                                  boundary=Boundary.HARD_WALL)
-            tb_gauged = evolve_gauged(packet_g, big, drive, 0.6676, dz=dz,
-                                      boundary=Boundary.HARD_WALL)
-            mapped = gauge_transform(tb_bare.final, drive, Gauge.GAUGED)
-            errs.append(np.max(np.abs(mapped.amplitudes
-                                      - tb_gauged.final.amplitudes)))
-        assert errs[1] < errs[0] / 3  # shrinks at least linearly with dz
+            kw = dict(dz=dz, snapshot_every=250, boundary=Boundary.HARD_WALL)
+            tb_bare = evolve_bare(bare0, big, drive, 0.6676, **kw)
+            tb_gauged = evolve_gauged(packet_g, big, drive, 0.6676, **kw)
+            np.testing.assert_array_equal(tb_bare.z, tb_gauged.z)
+            image = tb_gauged.states * np.exp(
+                -1j * np.outer(drv.phase(drive, tb_gauged.z), big.sites))
+            assert np.max(np.abs(tb_bare.states - image)) < 1e-13
 
 
 class TestTwoLevelReduction:
