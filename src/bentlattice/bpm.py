@@ -26,9 +26,9 @@ field as the FFT pair leaves it, and the intake ratio is taken only once
 the absorbed power nears a threshold.
 
 ``bpm_run`` imports ``scipy.fft`` when it is called (on the bundled
-presets' 4096-point grid its FFT pair with the kernel multiply took 77 us
-against numpy's 98 us on a 2-core Intel Xeon VM), so the other tiers never
-load it.
+presets' 2048-point grid its FFT pair with the kernel multiply took 39 us
+against numpy's 48 us on a 2-core Intel Xeon VM, best of seven repeats of
+2000 pairs), so the other tiers never load it.
 """
 
 from __future__ import annotations

@@ -30,6 +30,9 @@ from .tight_binding import (Branch, Gauge, LatticeTrajectory,
 
 # fewest samples above the census level that make a packet
 MIN_PACKET_POINTS = 3
+# target sample spacing (um) of the interpolated field that a BPM
+# snapshot's census reads (see observables_series)
+CENSUS_DX_UM = 0.1
 # trailing snapshots a packet velocity is fitted over
 VELOCITY_FIT_SNAPSHOTS = 5
 # largest centre shift (um) between snapshots that a fit follows a packet by
@@ -288,21 +291,57 @@ class Observables:
     packets: list
 
 
+def _interpolated_intensity(field, m: int):
+    """|f|^2 of the trigonometric interpolant of the periodic samples
+    ``field``, at m points per sample (the samples are every m-th).
+
+    The spectrum is zero-padded to n m bins; on even n the Nyquist bin is
+    split evenly between +n/2 and -n/2, so the interpolant is the real-x
+    band-limited one and still passes through every sample.
+    """
+    n = field.size
+    if m == 1:
+        return np.abs(field) ** 2
+    spectrum = np.fft.fft(field)
+    padded = np.zeros(n * m, dtype=complex)
+    n_pos = (n + 1) // 2
+    padded[:n_pos] = spectrum[:n_pos]
+    padded[n * m - n // 2:] = spectrum[n_pos:]
+    if n % 2 == 0:
+        padded[n * m - n // 2] *= 0.5
+        padded[n // 2] = padded[n * m - n // 2]
+    fine = np.fft.ifft(padded)
+    fine *= m
+    return np.abs(fine) ** 2
+
+
 def observables_series(traj, bands: BandStructure, threshold: float = 0.1,
                        merge_radius: float = None):
     """Observables for every snapshot of a BPM trajectory; each snapshot's
     packet census is taken once, the final one's with velocities.
 
-    ``bands`` must come from ``bands_for_grid`` on the trajectory's grid;
-    the census merge radius defaults to two lattice spacings.
+    The census reads the band-limited field, not the raw samples: each
+    snapshot's trigonometric interpolant, one snapshot at a time, at the
+    spacing dx / m nearest ``CENSUS_DX_UM`` (integer m >= 1).  Grids of one
+    window whose point counts differ by powers of two then census the same
+    points (fig5's 82 cells: 16384 at 0.1001 um from 2048, 4096 or 8192
+    samples), so a channel near the level does not enter or leave a packet
+    with the grid.  The whole-window centroid and the band powers read the
+    samples.  ``bands`` must come from ``bands_for_grid`` on the
+    trajectory's grid; the census merge radius defaults to two lattice
+    spacings.
     """
     if merge_radius is None:
         merge_radius = 2 * bands.optics.spacing_um
-    x = traj.grid.x_um
+    grid = traj.grid
+    x = grid.x_um
     intensities = np.abs(traj.fields) ** 2
-    powers = intensities.sum(axis=1) * traj.grid.dx_um
-    censuses = [packet_census(x, w, threshold, merge_radius)
-                for w in intensities]
+    powers = intensities.sum(axis=1) * grid.dx_um
+    m = max(1, round(grid.dx_um / CENSUS_DX_UM))
+    x_fine = grid.x_min_um + grid.dx_um / m * np.arange(grid.n * m)
+    censuses = [packet_census(x_fine, _interpolated_intensity(f, m),
+                              threshold, merge_radius)
+                for f in traj.fields]
     _fit_velocities(traj.z, censuses)
     out = []
     for i, z in enumerate(traj.z):

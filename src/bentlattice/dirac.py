@@ -44,6 +44,13 @@ class XiGrid:
     @classmethod
     def centered(cls, span: float, n: int) -> "XiGrid":
         require_positive(xi_span=span, n_points=n)
+        # the dispersion squares the momenta, up to pi n / span
+        k_max = np.pi * n / span
+        if not k_max * k_max < np.inf:
+            raise ParameterError(
+                f"xi_span = {span!r} puts the grid momenta at up to "
+                f"pi n / xi_span = {k_max:.3g}, whose squares overflow; "
+                f"use a wider xi span")
         return cls(-span / 2.0, span / float(n), n)
 
     @property

@@ -49,6 +49,8 @@ MAX_STEPS = 10**8
 # largest step angle theta of a Magnus step map; the presets reach 6.3e-3,
 # and one RK4 step at h |G| = 0.094 drifted the norm by the 1e-8 tolerance
 MAX_STEP_ANGLE = 0.1
+# RK4's stability limit h |lambda| on the imaginary axis
+RK4_STABILITY_LIMIT = 2 * math.sqrt(2)
 _TINY = np.finfo(float).tiny
 
 

@@ -35,8 +35,8 @@ from . import drive as drv
 from .drive import CM_PER_UM
 from .errors import (AccuracyError, DegenerateGapError, ParameterError,
                      require_positive)
-from .integrate import (_advance, default_dz, rk4_evolve, snapshot_steps,
-                        step_grid)
+from .integrate import (RK4_STABILITY_LIMIT, _advance, default_dz,
+                        rk4_evolve, snapshot_steps, step_grid)
 
 
 class Gauge(str, Enum):
@@ -339,6 +339,15 @@ def _evolve(state, params, profile, z_end, dz, snapshot_every, boundary):
         ys = _advance(to_sublattice_pairs(y0, params), coefficients,
                       state.z, n, h, steps, monitor)
     else:
+        # every eigenvalue of the hard-wall operator lies within
+        # |delta| + 2 sigma, and RK4 is stable on the imaginary axis up to
+        # h |lambda| = 2 sqrt(2)
+        radius = abs(params.delta_cm) + 2 * params.sigma_cm
+        if h * radius > RK4_STABILITY_LIMIT:
+            raise ParameterError(
+                f"step {h:.3e} cm exceeds RK4's stability limit for "
+                f"|delta| + 2 sigma = {radius:.3e} /cm; use dz at most "
+                f"{RK4_STABILITY_LIMIT / radius:.3e} cm")
         samples, rhs = _gauged_rhs(params, profile)
         ys = rk4_evolve(rhs, samples, y0, state.z, n, h, steps, monitor)
     zs = state.z + steps * h

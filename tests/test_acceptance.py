@@ -332,24 +332,45 @@ def test_beam_grid_margin():
     # the band populations to 1% of the step-halving tolerance, so that the
     # step, not the grid, sets the beam tier's accuracy.
     summaries = {}
-    for extra in ([], ["numerics.grid_points=8192"]):
+    for extra in ([], ["numerics.grid_points=4096"]):
         scn = scenario_from_text(preset_text("fig5c"),
                                  ["numerics.z_end_cm=0.7", *extra])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             summaries[scn.section("numerics")["grid_points"]] = (
                 run_scenario(scn, None)["summary"])
-    assert set(summaries) == {4096, 8192}
+    assert set(summaries) == {2048, 4096}
     bound = 0.01 * BPM_SELF_CHECK_TOL
-    moved = {key: abs(summaries[4096][key] - summaries[8192][key])
+    moved = {key: abs(summaries[2048][key] - summaries[4096][key])
              for key in ("band1_final", "band2_final", "miniband_transition")}
     ok = max(moved.values()) <= bound
     print("[beam grid] " + ("PASS" if ok else "FAIL") + ": fig5c at 0.7 cm, "
-          "4096 against 8192 points: "
+          "2048 against 4096 points: "
           + ", ".join(f"{key} moved {value:.1e}"
                       for key, value in moved.items())
           + f" (bound {bound:.0e}, 1% of the self-check tolerance)")
     assert ok, moved
+
+
+def test_beam_census_grid_margin():
+    # fig5c at 6 cm, where the beam has split in two, on its own grid and
+    # on twice the points: the census reads the band-limited field on the
+    # same points, so the packets and their velocities keep to far inside
+    # the step-halving change of the upper velocity (2.2e-2 um/cm)
+    finals = {}
+    for points in (2048, 4096):
+        scn = scenario_from_text(preset_text("fig5c"), [
+            "numerics.z_end_cm=6.0", f"numerics.grid_points={points}"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            finals[points] = run_scenario(scn, None)["summary"]
+    assert finals[2048]["n_packets_final"] == finals[4096][
+        "n_packets_final"] == 2
+    moved = np.abs(np.subtract(finals[2048]["packet_velocities"],
+                               finals[4096]["packet_velocities"]))
+    print(f"[beam census grid] fig5c at 6 cm, 2048 against 4096 points: "
+          f"packet velocities moved {moved.max():.1e} um/cm (bound 1e-3)")
+    assert moved.max() <= 1e-3, moved
 
 
 def _cli_run(out_dir, preset, *settings):

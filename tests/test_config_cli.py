@@ -172,7 +172,7 @@ class TestPresets:
             numerics[name] = tuple(num[key] for key in (
                 "grid_points", "grid_cells", "dz_cm", "snapshot_every"))
         assert len(set(numerics.values())) == 1, numerics
-        assert numerics["fig5b"][0] == 4096
+        assert numerics["fig5b"][0] == 2048
 
     def test_unknown_preset_raises(self):
         with pytest.raises(ConfigError):
@@ -575,9 +575,10 @@ class TestCli:
         (["run", "--preset", "fig3b", "--set", "scenario.tier=tight_binding",
           "--set", "lattice.n_sites=128", "--set",
           "numerics.boundary=hard_wall", "--set", "lattice.sigma_cm=1e150"],
-         3, "power drifted by nan"),
+         3, "exceeds RK4's stability limit"),
         (["run", "--preset", "fig3b", "--set", "scenario.tier=dirac",
-          "--set", "input.xi_span=1e-300"], 3, "leaves the packet no weight"),
+          "--set", "input.xi_span=1e-300"], 3,
+         "xi_span = 1e-300 puts the grid momenta"),
         (["bands", "--preset", "fig4_bands", "--set", "optics.lambda_cm=1e300"],
          3, "cell operator is not finite"),
         (["run", "--preset", "fig5b", "--set", "optics.lambda_cm=1e300"],

@@ -324,8 +324,10 @@ class TestVelocityTracking:
 
 class TestCensusSampling:
     """The census of one beam envelope, exp(-2 u^2) with u = (x - x0) / W,
-    moving across fig5's window (82 cells) at strides 1 and 2 of its
-    8192-point sampling, against the envelope's exact centre."""
+    moving across fig5's window (82 cells) at strides 1, 2 and 4 of its
+    8192-point sampling, against the envelope's exact centre.  The census
+    reads the band-limited field on the same 16384 points whatever the
+    stride, so one bound at that spacing holds for all three."""
 
     W_UM = 80.0  # the fig5 launch width w0
     V_UM_PER_CM = 16.3
@@ -347,7 +349,7 @@ class TestCensusSampling:
         m0 = w * math.sqrt(math.pi / 2) * math.erf(math.sqrt(2) * u_c)
         return h**2 / (2 * w**2) * ((u_c * w) ** 2 + w**2 / 2) / m0
 
-    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
     def test_centroids_and_velocity_within_the_sampling_bound(self, optics,
                                                               stride):
         fine = TransverseGrid.for_cells(optics, n_cells=82, n_points=8192)
@@ -361,7 +363,7 @@ class TestCensusSampling:
                              np.zeros(len(self.ZS)))
         obs = observables_series(traj, bands_for_grid(
             optics, grid, n_plane_waves=41, n_bands=2))
-        eps = self.centroid_bound(grid.dx_um)
+        eps = self.centroid_bound(grid.width_um / 16384)
         for row, centre in zip(obs, centres):
             (packet,) = row.packets
             assert abs(packet.center - centre) <= eps
@@ -371,6 +373,42 @@ class TestCensusSampling:
         dz = self.ZS[-5:] - self.ZS[-5:].mean()
         assert (abs(obs[-1].packets[0].velocity - self.V_UM_PER_CM)
                 <= eps * np.abs(dz).sum() / (dz**2).sum())
+
+
+class TestInterpolatedCensus:
+    @pytest.mark.parametrize("n", [2048, 1021, 9])
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    def test_interpolant_passes_through_the_samples(self, n, m):
+        rng = np.random.default_rng(n + m)
+        field = rng.normal(size=n) + 1j * rng.normal(size=n)
+        fine = diagnostics._interpolated_intensity(field, m)
+        assert fine.shape == (n * m,)
+        samples = np.abs(field) ** 2
+        assert np.max(np.abs(fine[::m] - samples)) <= 1e-12 * samples.max()
+
+    @pytest.mark.parametrize("n", [2048, 1021])
+    def test_interpolant_keeps_the_power(self, optics, n):
+        grid = TransverseGrid.for_cells(optics, n_cells=82, n_points=n)
+        field = gaussian_tilted_input(80.0, bragg_angle(optics) / 2, optics,
+                                      grid).envelope
+        coarse = np.sum(np.abs(field) ** 2)
+        for m in (2, 8):
+            fine = diagnostics._interpolated_intensity(field, m)
+            assert np.sum(fine) / m == pytest.approx(coarse, rel=1e-12)
+
+    def test_prime_grid_runs_through_the_series(self, optics):
+        grid = TransverseGrid.for_cells(optics, n_cells=41, n_points=1021)
+        zs = np.linspace(0.0, 1.0, 3)
+        centres = -20.0 + 30.0 * zs
+        frames = np.exp(-2 * ((grid.x_um - centres[:, None]) / 80.0) ** 2)
+        traj = BpmTrajectory(zs, np.sqrt(frames).astype(complex), grid,
+                             np.zeros(len(zs)))
+        obs = observables_series(traj, bands_for_grid(
+            optics, grid, n_plane_waves=41, n_bands=2))
+        for row, centre in zip(obs, centres):
+            (packet,) = row.packets
+            assert packet.center == pytest.approx(centre, abs=1e-6)
+        assert obs[-1].packets[0].velocity == pytest.approx(30.0, abs=1e-5)
 
 
 class TestGroupVelocityOracle:

@@ -148,6 +148,12 @@ class TestPackets:
         centers = sorted(p.center for p in packets)
         assert centers[0] < -4 and centers[1] > 4
 
+    def test_span_whose_momenta_overflow_is_named(self):
+        # pi n / span = 6.4e303 is finite, its square is not
+        with pytest.raises(ParameterError, match="xi_span = 1e-300"):
+            XiGrid.centered(1e-300, 2048)
+        XiGrid.centered(1e-150, 2048)
+
     def test_edge_overflow_raises(self, params):
         grid = XiGrid.centered(24.0, 256)
         field = gaussian_spinor_packet(grid, -np.pi / 2, 6.0, params)

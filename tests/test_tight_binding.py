@@ -641,3 +641,21 @@ class TestEdgeDiagnostic:
         traj = evolve_gauged(packet, big, DriveProfile.straight(), 0.5,
                              dz=0.001, boundary=Boundary.HARD_WALL)
         assert traj.edge_power_fraction() < 1e-6
+
+
+class TestHardWallStepCheck:
+    def test_unstable_step_is_refused_before_stepping(self, params):
+        # |delta| + 2 sigma = 1.817 + 4 /cm puts RK4's imaginary-axis limit
+        # 2 sqrt(2) at h = 0.4862 cm
+        state = bloch_mode_state(params.q_from_qa(np.pi / 4), Branch.MINUS,
+                                 params)
+        with pytest.raises(ParameterError, match=r"at most 4\.862e-01 cm"):
+            evolve_gauged(state, params, DriveProfile.straight(), 1.0,
+                          dz=0.5, boundary=Boundary.HARD_WALL)
+
+    def test_overflowing_coupling_names_the_stable_step(self):
+        big = SuperlatticeParams(1e150, 1.817, n_sites=16)
+        state = bloch_mode_state(big.q_from_qa(np.pi / 4), Branch.MINUS, big)
+        with pytest.raises(ParameterError, match=r"at most 1\.414e-150 cm"):
+            evolve_gauged(state, big, DriveProfile.straight(), 0.1,
+                          dz=1e-3, boundary=Boundary.HARD_WALL)
